@@ -192,7 +192,7 @@ class RaceDetector:
         self._parent: Dict[int, Tuple[int, float]] = {}
         #: step seq -> transitive same-timestamp ancestors (window-local).
         self._ancestors: Dict[int, frozenset] = {}
-        self._orig_enqueue: Optional[Callable[[Event, float, int], None]] = None
+        self._orig_enqueue: Optional[Callable[..., None]] = None
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> "RaceDetector":
@@ -203,11 +203,14 @@ class RaceDetector:
             original = self.sim._enqueue
             self._orig_enqueue = original
 
-            def enqueue(event: Event, delay: float, priority: int) -> None:
+            def enqueue(
+                event: Event, delay: float, priority: int,
+                slot: Optional[int] = None,
+            ) -> None:
                 if not event._scheduled and self._current is not None:
                     time, _prio, seq, _ctx = self._current
                     self._parent[id(event)] = (seq, time)
-                original(event, delay, priority)
+                original(event, delay, priority, slot)
 
             self.sim._enqueue = enqueue  # type: ignore[method-assign]
         self._attached = True

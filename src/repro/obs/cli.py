@@ -248,7 +248,7 @@ def _render_perf(profiler, experiment: str, seed: int) -> str:
             f"  fluid: {fluid['updates']} updates, "
             f"{fluid['reschedules']} reschedules, "
             f"fan-out sum {fluid['fanout_sum']} "
-            f"(max {fluid['fanout_max']} flows/update)"
+            f"(max {fluid['fanout_max']} flows/reschedule)"
         )
         for name, entry in fluid["shares"].items():
             mutations = "  ".join(

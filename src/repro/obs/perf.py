@@ -405,7 +405,11 @@ class KernelProfiler:
         entry[kind] += 1
 
     def fluid_reschedule(self, share: str, fanout: int) -> None:
-        """One rate recomputation touching ``fanout`` active flows."""
+        """One rate recomputation touching ``fanout`` active flows.
+
+        A share recomputes at most once per virtual instant, however many
+        updates that instant made.
+        """
         entry = self.fluid.get(share)
         if entry is None:
             entry = self.fluid[share] = _fluid_entry()

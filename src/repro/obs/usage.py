@@ -134,19 +134,29 @@ class ResourceUsage:
         in_flight = self.share.served_now() - self.share.total_served
         return self.served + max(0.0, in_flight)
 
+    def projected_capacity(self) -> float:
+        """The capacity integral projected to now, without folding it.
+
+        Folding on a read would split the integral at the read's instant
+        and move the float sum, so reads between events stay passive.
+        """
+        dt = self.share.sim.now - self._cap_t
+        if dt > 0.0:
+            return self.capacity + self.share.speed * dt
+        return self.capacity
+
     def utilization(self) -> float:
         """Overall served / capacity over the tracked window(s)."""
-        self.fold_capacity(self.share.sim.now)
-        if self.capacity <= _EPS:
+        capacity = self.projected_capacity()
+        if capacity <= _EPS:
             return 0.0
-        return self.projected_served() / self.capacity
+        return self.projected_served() / capacity
 
     def to_dict(self) -> dict:
-        self.fold_capacity(self.share.sim.now)
         served = self.projected_served()
         return {
             "kind": self.kind,
-            "capacity": self.capacity,
+            "capacity": self.projected_capacity(),
             "served": served,
             "utilization": self.utilization(),
             "by_owner": {k: self.by_owner[k] for k in sorted(self.by_owner)},

@@ -314,10 +314,6 @@ class Process(Event):
         # Generator finished (or crashed): fire the process event.
         self._target = None
         self.sim._enqueue(self, 0.0, URGENT)
-        if not self._ok and not self.callbacks:
-            # Nobody is waiting for the crash; let it propagate via
-            # _run_callbacks unless defused.
-            pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
@@ -341,6 +337,13 @@ class Simulator:
         self._seq = count()
         self._tiebreak = tiebreak
         self._active: Optional[Process] = None
+        #: End-of-instant work: callables appended here run once, just
+        #: before the clock next advances (or the schedule drains), in
+        #: order.  They may push events only at later instants.  Lets a
+        #: component coalesce every same-instant change into one pass
+        #: (``FluidShare`` recomputes its rates there).  The hot loop pays
+        #: a list emptiness check for it, no extra event.
+        self._eoi: list = []
         #: Opt-in instrumentation: called as ``hook(time, priority, seq,
         #: event)`` just before each popped event's callbacks run.  Used by
         #: :class:`repro.analysis.races.RaceDetector`; None costs nothing.
@@ -383,11 +386,17 @@ class Simulator:
         return self._active
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
+        """Time of the next scheduled event, or ``inf`` when idle.
+
+        Pending end-of-instant work counts as due now; it is reported, not
+        run (the next :meth:`step` runs it).
+        """
+        if self._eoi:
+            return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
     def is_idle(self) -> bool:
-        return not self._heap
+        return not self._heap and not self._eoi
 
     # -- factories --------------------------------------------------------
     def event(self) -> Event:
@@ -429,11 +438,18 @@ class Simulator:
     def tiebreak(self) -> Optional[Any]:
         return self._tiebreak
 
-    def _enqueue(self, event: Event, delay: float, priority: int) -> None:
+    def _enqueue(
+        self, event: Event, delay: float, priority: int, slot: Optional[int] = None
+    ) -> None:
+        """Push ``event`` at ``now + delay``.
+
+        ``slot`` is a FIFO number reserved earlier with ``next(self._seq)``:
+        the event then sorts as if it had been pushed at reservation time.
+        """
         if event._scheduled:
             return
         event._scheduled = True
-        seq = next(self._seq)
+        seq = next(self._seq) if slot is None else slot
         if self._tiebreak is not None:
             seq = self._tiebreak.key(self._now + delay, priority, seq, event)
         heapq.heappush(self._heap, (self._now + delay, priority, seq, event))
@@ -455,13 +471,28 @@ class Simulator:
         return ev
 
     # -- execution ----------------------------------------------------------
+    def _end_instant(self) -> None:
+        eoi = self._eoi
+        for fn in eoi:
+            fn()
+        eoi.clear()
+
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event.
+
+        When end-of-instant work is pending and the next event lies later
+        (or none is left), that work is the step instead: it runs, and the
+        event stays queued, so a caller bounding time with :meth:`peek`
+        never dispatches past its bound.
+        """
         if self._active is not None:
             raise SimulationError(
                 "step() re-entered from inside a process; processes must "
                 "yield events instead of driving the kernel"
             )
+        if self._eoi and (not self._heap or self._heap[0][0] > self._now):
+            self._end_instant()
+            return
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
         t, _prio, _seq, event = heapq.heappop(self._heap)
@@ -496,12 +527,27 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until!r}) is in the past (now={self._now!r})"
             )
+        heap = self._heap
+        eoi = self._eoi
         try:
-            while self._heap:
-                if until is not None and self._heap[0][0] > until:
-                    self._now = until
-                    return
-                self.step()
+            while True:
+                while heap:
+                    if until is not None and heap[0][0] > until:
+                        if eoi:
+                            # The pending work may arm an event at or
+                            # before ``until``: run it, then decide.
+                            self._end_instant()
+                            continue
+                        self._now = until
+                        return
+                    if eoi and heap[0][0] > self._now:
+                        # Run it here, not as a step() of its own, so every
+                        # step() call inside run() dispatches one event.
+                        self._end_instant()
+                    self.step()
+                if not eoi:
+                    break
+                self._end_instant()
         except StopSimulation:
             return
         finally:

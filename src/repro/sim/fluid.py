@@ -12,8 +12,12 @@ per-job rate *caps* (water-filling).  This single abstraction models both
 
 The implementation is an event-driven fluid simulation: whenever the job
 set, a weight, a cap, or the speed changes, all remaining-work figures are
-advanced to "now" and the next completion is rescheduled.  Between change
-points rates are constant, so the evolution is exact (no time-stepping).
+advanced to "now" and the share is marked for rescheduling.  The rates are
+recomputed, and the next completion armed, once per share per virtual
+instant: just before the simulator clock next advances.  Same-instant
+changes see dt = 0, so the intermediate rates are never integrated and
+the single pass is exact.  Between change points rates are constant, so
+the evolution is exact (no time-stepping).
 """
 
 from __future__ import annotations
@@ -75,7 +79,14 @@ class FluidJob:
 
     @property
     def rate(self) -> float:
-        """Current instantaneous service rate (valid until the next change)."""
+        """Current instantaneous service rate (valid until the next change).
+
+        Read mid-instant, after a change whose rescheduling is still
+        pending, the rate is computed on the spot; no timer is armed.
+        """
+        share = self.share
+        if share._dirty and self in share._jobs:
+            return share._rates()[self]
         return self._rate
 
     @property
@@ -109,7 +120,15 @@ class FluidShare:
         self._speed = float(speed)
         self._jobs: Dict[FluidJob, None] = {}
         self._last_update = sim.now
+        #: Bumped by every change; a completion timer armed under an older
+        #: generation is stale and does nothing when it fires.
         self._timer_gen = 0
+        #: True while a change awaits the end-of-instant :meth:`_reschedule`.
+        self._dirty = False
+        #: FIFO slot reserved by the latest change: the completion timer is
+        #: pushed with it, so it sorts exactly where a timer pushed at that
+        #: change would have.
+        self._slot = 0
         #: Cumulative busy work served (for utilization accounting).
         self.total_served = 0.0
         #: Passive accounting tap: ``tap(owner, amount)`` is called for
@@ -133,10 +152,6 @@ class FluidShare:
     @property
     def active_jobs(self) -> int:
         return len(self._jobs)
-
-    @property
-    def busy(self) -> bool:
-        return any(j.weight > 0 or (j.cap or 0) > 0 for j in self._jobs)
 
     def submit(
         self,
@@ -164,7 +179,7 @@ class FluidShare:
             job.done.succeed(self.sim.now)
         else:
             self._jobs[job] = None
-        self._reschedule()
+        self._mark()
         return job
 
     def add_work(self, job: FluidJob, amount: float) -> bool:
@@ -192,7 +207,7 @@ class FluidShare:
         if job not in self._jobs:  # completed exactly at the catch-up point
             return False
         job.remaining += float(amount)
-        self._reschedule()
+        self._mark()
         return True
 
     def set_weight(self, job: FluidJob, weight: float) -> None:
@@ -204,7 +219,7 @@ class FluidShare:
             self.sim.perf.fluid_event(self.name, "set_weight")
         self._advance()
         job.weight = float(weight)
-        self._reschedule()
+        self._mark()
 
     def set_cap(self, job: FluidJob, cap: Optional[float]) -> None:
         if cap is not None and cap < 0:
@@ -215,7 +230,7 @@ class FluidShare:
             self.sim.perf.fluid_event(self.name, "set_cap")
         self._advance()
         job.cap = cap
-        self._reschedule()
+        self._mark()
 
     def set_speed(self, speed: float) -> None:
         if speed < 0:
@@ -226,7 +241,7 @@ class FluidShare:
         if self.speed_tap is not None:
             self.speed_tap()
         self._speed = float(speed)
-        self._reschedule()
+        self._mark()
 
     def cancel(self, job: FluidJob) -> None:
         """Abort a job; its ``done`` event fails with :class:`SimulationError`."""
@@ -239,7 +254,7 @@ class FluidShare:
         job._rate = 0.0
         job.done.defused = True
         job.done.fail(SimulationError("job cancelled"))
-        self._reschedule()
+        self._mark()
 
     def utilization_since(self, t0: float, served0: float) -> float:
         """Average utilization over [t0, now] given a prior snapshot.
@@ -249,7 +264,7 @@ class FluidShare:
         so we advance first.
         """
         self._advance()
-        self._reschedule()
+        self._mark()
         dt = self.sim.now - t0
         if dt <= _EPS or self._speed <= _EPS:
             return 0.0
@@ -284,7 +299,7 @@ class FluidShare:
         reading ``consumed``/``total_served`` between events.
         """
         self._advance()
-        self._reschedule()
+        self._mark()
 
     def peek(self) -> dict:
         """Passive state projection for inspectors, read-only.
@@ -293,22 +308,26 @@ class FluidShare:
         projected to the current instant *without* touching
         ``_last_update`` or re-arming the completion timer, so reading it
         between :meth:`Simulator.step` calls leaves the event sequence
-        byte-identical.  (``sync``/``snapshot``/``utilization_since`` all
-        fold the accumulators and reschedule — never call those from a
+        byte-identical.  Rates still pending rescheduling are computed on
+        the spot (dt is 0 then, so nothing is projected).
+        (``sync``/``snapshot``/``utilization_since`` all fold the
+        accumulators and mark the share changed — never call those from a
         read-only path.)
         """
         now = self.sim.now
         dt = max(0.0, now - self._last_update)
+        rates = self._rates() if self._dirty else None
         jobs = []
         projected_total = self.total_served
         for job in self._jobs:
-            served = min(job._rate * dt, job.remaining) if job._rate > 0.0 else 0.0
+            rate = job._rate if rates is None else rates[job]
+            served = min(rate * dt, job.remaining) if rate > 0.0 else 0.0
             projected_total += served
             jobs.append(
                 {
                     "remaining": job.remaining - served,
                     "consumed": job.consumed + served,
-                    "rate": job._rate,
+                    "rate": rate,
                     "weight": job.weight,
                     "cap": job.cap,
                     "owner": str(job.owner) if job.owner is not None else None,
@@ -383,20 +402,41 @@ class FluidShare:
             job._rate = 0.0
             job.done.succeed(now)
 
+    def _mark(self) -> None:
+        """Note a change: rescheduling runs once, at the end of this instant.
+
+        Every change stales the armed completion timer and reserves a fresh
+        FIFO slot, exactly as pushing a new timer here would; only the
+        last change's slot is used.
+        """
+        self._timer_gen += 1
+        sim = self.sim
+        self._slot = next(sim._seq)
+        if not self._dirty:
+            self._dirty = True
+            sim._eoi.append(self._reschedule)
+
     def _reschedule(self) -> None:
-        """Recompute rates and arm a timer for the next completion."""
-        if self.sim.perf is not None:
-            # The O(active flows) fan-out ROADMAP item 1 targets: every
-            # membership/weight/cap/speed change pays one pass over the
-            # whole job set here.
-            self.sim.perf.fluid_reschedule(self.name, len(self._jobs))
+        """Recompute rates and arm a timer for the next completion.
+
+        Runs from the simulator's end-of-instant list, at most once per
+        instant however many changes the instant made.  It sees the state
+        the last change left, and the same float expressions in the same
+        order, so rates and completion times are those an eager
+        recomputation after every change would end with.
+        """
+        self._dirty = False
+        sim = self.sim
+        if sim.perf is not None:
+            # The O(active flows) pass ROADMAP item 1 targets: one per
+            # share per instant with changes, over the whole job set.
+            sim.perf.fluid_reschedule(self.name, len(self._jobs))
         rates = self._rates()
         horizon = math.inf
         for job, rate in rates.items():
             job._rate = rate
             if rate > _EPS:
                 horizon = min(horizon, job.remaining / rate)
-        self._timer_gen += 1
         if horizon is math.inf:
             return
         # Zeno guard: with a near-finished job the exact horizon can be so
@@ -404,17 +444,21 @@ class FluidShare:
         # re-fire the timer forever at a frozen clock.  Bump the horizon to
         # at least one representable step; the overshoot just completes the
         # job (delta is clamped to `remaining` in _advance).
-        now = self.sim.now
+        now = sim.now
         horizon = max(horizon, 1e-12, abs(now) * 1e-12)
         gen = self._timer_gen
 
-        def fire() -> None:
+        def fire(_event: Event) -> None:
             if gen != self._timer_gen:
-                return  # stale timer; a newer change superseded it
+                return  # stale timer; a later change superseded it
             self._advance()
-            self._reschedule()
+            self._mark()
 
-        self.sim.schedule_callback(horizon, fire, priority=NORMAL)
+        timer = Event(sim)
+        timer._ok = True
+        timer._value = None
+        timer.callbacks.append(fire)
+        sim._enqueue(timer, horizon, NORMAL, self._slot)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FluidShare {self.name!r} speed={self._speed} jobs={len(self._jobs)}>"

@@ -83,30 +83,56 @@ def test_recovery_stepped_inspection_byte_identical():
 def test_interleaved_inspection_leaves_trace_unchanged():
     """Satellite regression: inspecting between steps must not perturb
     lazy-folded FluidShare state or the tracer (same stepping, with and
-    without inspector reads, bit-for-bit)."""
+    without inspector reads, bit-for-bit).  Single steps after each pause
+    also stop mid-instant, with a FluidShare change still awaiting its
+    end-of-instant rescheduling pass."""
+    pending_seen = []
+
+    def state(ctx, share):
+        return (
+            share._last_update, share._timer_gen, share._dirty, share._slot,
+            list(ctx.sim._eoi), len(ctx.sim._heap),
+        )
+
+    def inspect_all(ctx, share):
+        before = state(ctx, share)
+        ctx.inspect.shares()
+        ctx.inspect.queues()
+        ctx.inspect.usage()
+        ctx.inspect.monitor()
+        ctx.inspect.controller()
+        peeked = share.peek()
+        share.served_now()
+        rates = [job.rate for job in share._jobs]
+        # Passive reads advance neither the lazy fold point nor the
+        # completion-timer generation, and neither run nor drop a pending
+        # rescheduling pass.
+        assert state(ctx, share) == before
+        # ...yet mid-instant they already show the post-change rates.
+        assert [j["rate"] for j in peeked["jobs"]] == rates
+        if share._dirty:
+            assert rates == [share._rates()[job] for job in share._jobs]
+            stale = [job._rate for job in share._jobs]
+            pending_seen.append(stale != rates)
+
     def run(inspect):
         ctx = InteractiveContext("fig5", seed=1)
         share = ctx.scene.testbed.hosts["client"].cpu.share
         for i in itertools.count(1):
             ctx.run_until(i * 2.5)
-            if inspect:
-                before = (share._last_update, share._timer_gen)
-                ctx.inspect.shares()
-                ctx.inspect.queues()
-                ctx.inspect.usage()
-                ctx.inspect.monitor()
-                ctx.inspect.controller()
-                share.peek()
-                share.served_now()
-                # Passive reads advance neither the lazy fold point nor
-                # the completion-timer generation.
-                assert (share._last_update, share._timer_gen) == before
+            for _ in range(4):
+                if inspect:
+                    inspect_all(ctx, share)
+                ctx.step()
             if ctx.done:
                 break
         _fig, payload = ctx.finish()
         return _signature(ctx.recorder, ctx.usage, payload)
 
     assert run(inspect=True) == run(inspect=False)
+    # Mid-instant pending states occurred, and in some of them the stored
+    # rates were stale, so the post-change check above was not vacuous.
+    assert any(pending_seen)
 
 
 def test_run_until_predicate_pauses_at_first_switch():

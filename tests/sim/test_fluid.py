@@ -259,3 +259,85 @@ def test_many_jobs_complete_in_expected_order():
     assert finish_times == sorted(finish_times)
     assert all(j.finished for j in jobs)
     assert cpu.total_served == pytest.approx(sum(10.0 * (i + 1) for i in range(10)))
+
+
+# -- one rescheduling pass per share per instant ------------------------------
+
+
+def test_same_instant_submits_reschedule_once():
+    from repro.obs.perf import KernelProfiler
+
+    sim = Simulator()
+    cpu = FluidShare(sim, speed=100.0, name="cpu")
+    profiler = KernelProfiler(full=True).attach(sim)
+    jobs = [cpu.submit(work=1.0 + i) for i in range(64)]
+    # Every change is pending; nothing is queued yet.
+    assert sim._heap == [] and not sim.is_idle()
+    assert sim.peek() == 0.0
+    sim.step()  # the end-of-instant pass is this step; no event dispatched
+    assert profiler.fluid["cpu"]["reschedules"] == 1
+    assert profiler.fluid["cpu"]["fanout_max"] == 64
+    assert profiler.steps == 0
+    assert len(sim._heap) == 1  # one live completion timer, no stale ones
+    assert sim.peek() == pytest.approx(0.64)  # 64 jobs x 1 unit at 100/s
+    sim.run()
+    assert all(j.finished for j in jobs)
+    assert cpu.total_served == pytest.approx(sum(1.0 + i for i in range(64)))
+
+
+def test_same_time_completions_fire_in_last_change_order():
+    # Both timers land on t == 1.0 exactly.  ``a`` changed first *and*
+    # last; its timer sorts at the FIFO position of its last change, so
+    # ``b`` (changed in between) completes first — the order an eager
+    # reschedule after every change produces.
+    sim = Simulator()
+    share_a = FluidShare(sim, speed=100.0, name="a")
+    share_b = FluidShare(sim, speed=50.0, name="b")
+    order = []
+    job_a = share_a.submit(work=100.0)
+    job_b = share_b.submit(work=50.0)
+    share_a.set_weight(job_a, 1.0)
+    job_a.done.callbacks.append(lambda _e: order.append("a"))
+    job_b.done.callbacks.append(lambda _e: order.append("b"))
+    sim.run()
+    assert job_a.done.value == job_b.done.value == 1.0
+    assert order == ["b", "a"]
+
+
+def test_pending_reschedule_at_run_until_arms_completion():
+    sim = Simulator()
+    cpu = FluidShare(sim, speed=100.0)
+    sim.timeout(5.0)
+    jobs = []
+
+    def submitter():
+        yield sim.timeout(0.25)
+        jobs.append(cpu.submit(work=50.0))
+
+    sim.process(submitter())
+    # After the submit at 0.25 the next queued event is at 5.0 > until;
+    # the pending pass must run first and arm the completion at 0.75.
+    sim.run(until=1.0)
+    assert sim.now == 1.0
+    assert jobs[0].finished and jobs[0].done.value == pytest.approx(0.75)
+
+
+def test_stop_mid_instant_then_run_finishes():
+    sim = Simulator()
+    cpu = FluidShare(sim, speed=100.0)
+    jobs = []
+
+    def burst():
+        jobs.append(cpu.submit(work=100.0))
+        jobs.append(cpu.submit(work=100.0))
+        sim.stop()
+
+    sim.schedule_callback(1.0, burst)
+    sim.run()
+    # Stopped before the end of the instant: the pass is still pending,
+    # reported as due now, and reads compute the post-change rates.
+    assert sim.now == 1.0 and sim.peek() == 1.0 and not sim.is_idle()
+    assert [j.rate for j in jobs] == [50.0, 50.0]
+    sim.run()
+    assert [j.done.value for j in jobs] == [3.0, 3.0]
+    assert sim.is_idle()
