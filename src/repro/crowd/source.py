@@ -183,11 +183,17 @@ class CrowdSource:
     def stats(self) -> Dict[str, Dict[str, float]]:
         """Cumulative per-class tallies (plain ints/floats, sorted keys)."""
         out: Dict[str, Dict[str, float]] = {}
-        for i, c in enumerate(self.classes):
-            row = {name: int(self._cols[i, j]) for j, name in enumerate(_COLUMNS)}
+        # One tolist() per array yields the same Python ints and floats as
+        # int()/float() of each numpy scalar, without the per-element boxing.
+        resp_sum = self._resp_sum.tolist()
+        resp_max = self._resp_max.tolist()
+        for c, cols, total, worst in zip(
+            self.classes, self._cols.tolist(), resp_sum, resp_max
+        ):
+            row = dict(zip(_COLUMNS, cols))
             served = row["served"]
-            row["resp_mean"] = float(self._resp_sum[i]) / served if served else 0.0
-            row["resp_max"] = float(self._resp_max[i])
+            row["resp_mean"] = total / served if served else 0.0
+            row["resp_max"] = worst
             out[c.name] = row
         return out
 

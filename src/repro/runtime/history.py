@@ -7,54 +7,68 @@ data within a history window."
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 __all__ = ["HistoryWindow", "EWMA"]
 
 
 class HistoryWindow:
-    """Time-windowed scalar samples with mean/min/max/last queries."""
+    """Time-windowed scalar samples with mean/min/max/last queries.
+
+    Times and values live in two parallel deques so that the per-tick
+    queries run the builtins straight over the values: ``mean()`` is one
+    ``sum`` over the window (the same float additions, in the same order,
+    as summing the values of ``(time, value)`` pairs).
+    """
 
     def __init__(self, window: float):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window!r}")
         self.window = float(window)
-        self._samples: Deque[Tuple[float, float]] = deque()
+        self._times: Deque[float] = deque()
+        self._values: Deque[float] = deque()
 
     def record(self, time: float, value: float) -> None:
-        if self._samples and time < self._samples[-1][0] - 1e-12:
+        times = self._times
+        if times and time < times[-1] - 1e-12:
             raise ValueError("samples must arrive in time order")
-        self._samples.append((time, value))
-        self._trim(time)
-
-    def _trim(self, now: float) -> None:
-        cutoff = now - self.window
-        while self._samples and self._samples[0][0] < cutoff:
-            self._samples.popleft()
+        times.append(time)
+        self._values.append(value)
+        cutoff = time - self.window
+        # window > 0, so the sample just appended always survives the trim.
+        while times[0] < cutoff:
+            times.popleft()
+            self._values.popleft()
 
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self._values)
 
     @property
     def empty(self) -> bool:
-        return not self._samples
+        return not self._values
+
+    def samples(self) -> List[Tuple[float, float]]:
+        """The window's ``(time, value)`` pairs, oldest first."""
+        return list(zip(self._times, self._values))
 
     def last(self) -> Optional[float]:
-        return self._samples[-1][1] if self._samples else None
+        return self._values[-1] if self._values else None
 
     def mean(self) -> Optional[float]:
-        if not self._samples:
+        values = self._values
+        if not values:
             return None
-        return sum(v for _, v in self._samples) / len(self._samples)
+        return sum(values) / len(values)
 
     def minimum(self) -> Optional[float]:
-        return min((v for _, v in self._samples), default=None)
+        return min(self._values, default=None)
 
     def maximum(self) -> Optional[float]:
-        return max((v for _, v in self._samples), default=None)
+        return max(self._values, default=None)
 
     def clear(self) -> None:
-        self._samples.clear()
+        self._times.clear()
+        self._values.clear()
 
 
 class EWMA:

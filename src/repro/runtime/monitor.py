@@ -104,10 +104,22 @@ class MonitoringAgent:
         self.system = SystemMonitor.from_runtime(rt)
 
         #: resource -> (lo, hi) validity bounds from the current decision.
+        #: Written only through :meth:`retarget` and :meth:`restore`, which
+        #: also recompute ``_triggers``.
         self.conditions: Dict[str, Tuple[float, float]] = {}
+        #: (history, low trigger, high trigger) per watched resource with a
+        #: condition: the validity bounds widened by the hysteresis margin.
+        self._triggers: List[Tuple[HistoryWindow, float, float]] = []
         self._histories: Dict[str, HistoryWindow] = {
             r: HistoryWindow(window) for r in self.watch
         }
+        #: The watch list parsed once: (resource, host, kind) per entry, and
+        #: (resource, class, kind) per ``crowd.<class>.<kind>`` entry.
+        self._entries: List[Tuple[str, str, str]] = []
+        self._crowd_entries: List[Tuple[str, str, str]] = []
+        #: resource -> its (recv, send) keys into ``_net_seen``.
+        self._net_keys: Dict[str, Tuple[str, str]] = {}
+        self._parse_watch()
         self._cpu_anchor: Dict[str, Tuple[float, float]] = {}
         self._crowd_anchor: Dict[str, Tuple[float, float, float]] = {}
         self._net_seen: Dict[str, int] = {}
@@ -139,8 +151,41 @@ class MonitoringAgent:
             self.watch = list(watch)
             for r in self.watch:
                 self._histories.setdefault(r, HistoryWindow(self.window))
+            self._parse_watch()
         if conditions is not None:
             self.conditions = dict(conditions)
+        self._arm_triggers()
+
+    def _parse_watch(self) -> None:
+        self._entries = []
+        self._crowd_entries = []
+        for resource in self.watch:
+            host, _, kind = resource.partition(".")
+            if host == "crowd":
+                cls, _, kind = kind.partition(".")
+                self._crowd_entries.append((resource, cls, kind))
+            else:
+                self._entries.append((resource, host, kind))
+                if kind == "network":
+                    self._net_keys[resource] = (f"{resource}:recv", f"{resource}:send")
+
+    def _arm_triggers(self) -> None:
+        """Precompute the violation thresholds of the watched conditions."""
+        triggers = []
+        for resource, (lo, hi) in self.conditions.items():
+            hist = self._histories.get(resource)
+            if hist is None or resource not in self.watch:
+                continue
+            # True hysteresis: the estimate must cross the bound by the
+            # margin before we bother the scheduler.
+            lo_margin = self.hysteresis * max(abs(lo), 1e-12)
+            hi_margin = self.hysteresis * max(abs(hi), 1e-12)
+            triggers.append((
+                hist,
+                lo - lo_margin if math.isfinite(lo) else -math.inf,
+                hi + hi_margin if math.isfinite(hi) else math.inf,
+            ))
+        self._triggers = triggers
 
     # -- checkpoint/restore ----------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -156,7 +201,7 @@ class MonitoringAgent:
             "watch": list(self.watch),
             "conditions": {r: list(b) for r, b in self.conditions.items()},
             "histories": {
-                r: [list(s) for s in h._samples]
+                r: [list(s) for s in h.samples()]
                 for r, h in sorted(self._histories.items())
             },
             "cpu_anchor": {r: list(a) for r, a in self._cpu_anchor.items()},
@@ -179,6 +224,8 @@ class MonitoringAgent:
             self._histories[r] = hist
         for r in self.watch:
             self._histories.setdefault(r, HistoryWindow(self.window))
+        self._parse_watch()
+        self._arm_triggers()
         self._cpu_anchor = {
             r: (a[0], a[1]) for r, a in dict(state.get("cpu_anchor", {})).items()
         }
@@ -201,17 +248,9 @@ class MonitoringAgent:
 
     def _sample(self) -> None:
         now = self.sim.now
-        crowd_stats = None
-        for resource in self.watch:
-            host, _, kind = resource.partition(".")
-            if host == "crowd":
-                if self.crowd is None:
-                    continue
-                if crowd_stats is None:  # one columnar snapshot per period
-                    crowd_stats = self.crowd.stats()
-                self._sample_crowd(resource, crowd_stats, now)
-                continue
-            sandbox = self.rt.sandboxes.get(host)
+        sandboxes = self.rt.sandboxes
+        for resource, host, kind in self._entries:
+            sandbox = sandboxes.get(host)
             if sandbox is None:
                 continue
             if kind == "cpu":
@@ -222,8 +261,16 @@ class MonitoringAgent:
                 self._sample_memory(resource, sandbox, now)
             elif kind == "disk":
                 self._sample_disk(resource, sandbox)
+        # Crowd reads are pure, so sampling them after the sandboxes is the
+        # same as sampling in watch order.
+        if self._crowd_entries and self.crowd is not None:
+            stats = self.crowd.stats()  # one columnar snapshot per period
+            for resource, cls, kind in self._crowd_entries:
+                self._sample_crowd(resource, cls, kind, stats, now)
 
-    def _sample_crowd(self, resource: str, stats: Dict, now: float) -> None:
+    def _sample_crowd(
+        self, resource: str, cls: str, kind: str, stats: Dict, now: float
+    ) -> None:
         """Estimates from a CrowdSource's cumulative per-class tallies.
 
         ``crowd.<class>.qos`` is the satisfaction fraction of outcomes
@@ -232,7 +279,6 @@ class MonitoringAgent:
         instantaneous outstanding-request count.  All three are pure
         reads of columnar state — sampling never perturbs the crowd.
         """
-        cls, _, kind = resource[len("crowd."):].partition(".")
         row = stats.get(cls)
         if row is None:
             return
@@ -277,12 +323,19 @@ class MonitoringAgent:
         continuously), not this message's own queueing delay — otherwise
         backlog debt is double-counted and the estimate biases low.
         """
-        for direction, log in (("recv", sandbox.recv_log), ("send", sandbox.send_log)):
-            key = f"{resource}:{direction}"
-            seen = self._net_seen.get(key, 0)
+        recv_key, send_key = self._net_keys[resource]
+        for key, log, dropped_attr in (
+            (recv_key, sandbox.recv_log, "recv_log_dropped"),
+            (send_key, sandbox.send_log, "send_log_dropped"),
+        ):
+            seen = self._net_seen.get(key)
+            dropped = getattr(sandbox, dropped_attr, 0)
+            if seen is None:
+                seen = 0  # first visit records the key, as snapshots show
+            elif seen == dropped + len(log):
+                continue  # nothing delivered since the last tick
             # The sandbox trims its bounded log from the front; ``seen`` is
             # an absolute index, so re-anchor it past whatever was dropped.
-            dropped = getattr(sandbox, f"{direction}_log_dropped", 0)
             start_idx = max(0, seen - dropped)
             prev_end = log[start_idx - 1][1] if start_idx > 0 else float("-inf")
             for start, end, size in log[start_idx:]:
@@ -319,19 +372,15 @@ class MonitoringAgent:
 
     # -- violation detection ----------------------------------------------------
     def _check_conditions(self) -> Optional[Dict[str, float]]:
-        estimates = self.estimates()
-        for resource, (lo, hi) in self.conditions.items():
-            est = estimates.get(resource)
-            if est is None:
-                continue
-            # True hysteresis: the estimate must cross the bound by the
-            # margin before we bother the scheduler.
-            lo_margin = self.hysteresis * max(abs(lo), 1e-12)
-            hi_margin = self.hysteresis * max(abs(hi), 1e-12)
-            if (math.isfinite(lo) and est < lo - lo_margin) or (
-                math.isfinite(hi) and est > hi + hi_margin
-            ):
-                return estimates
+        """All estimates if any watched condition is violated, else None.
+
+        Reads only the windows that carry a condition; the full estimates
+        are built only when a violation is returned.
+        """
+        for hist, low, high in self._triggers:
+            est = hist.mean()
+            if est is not None and (est < low or est > high):
+                return self.estimates()
         return None
 
     def _run(self):

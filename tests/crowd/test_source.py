@@ -7,6 +7,8 @@ closed-loop population accounting, byte-identical repeats, and guard
 shedding by priority — at populations small enough for tier-1.
 """
 
+import json
+
 import pytest
 
 from repro.crowd import (
@@ -17,6 +19,7 @@ from repro.crowd import (
     CrowdSource,
     ServiceClass,
 )
+from repro.crowd.source import _COLUMNS
 from repro.recovery import OverloadGuard, OverloadPolicy
 from repro.sandbox import HostSpec, LinkSpec, Testbed
 
@@ -172,6 +175,45 @@ def test_observer_reads_do_not_perturb_the_run():
         return source.stats()
 
     assert run(probe=False) == run(probe=True)
+
+
+def _indexed_stats(source):
+    """stats() rebuilt by indexing the numpy columns element by element."""
+    out = {}
+    for i, c in enumerate(source.classes):
+        row = {name: int(source._cols[i, j]) for j, name in enumerate(_COLUMNS)}
+        served = row["served"]
+        row["resp_mean"] = float(source._resp_sum[i]) / served if served else 0.0
+        row["resp_max"] = float(source._resp_max[i])
+        out[c.name] = row
+    return out
+
+
+def test_stats_are_plain_python_numbers_equal_to_indexed_reads():
+    """stats() values are exact ints/floats, so crowd payload JSON is fixed."""
+    source, _agent, tb = run_crowd_pair(_mixed_classes(), until=5.0)
+    checked = []
+
+    def prober():
+        while not source.closed:
+            checked.append(source.stats())
+            assert checked[-1] == _indexed_stats(source)
+            yield tb.sim.timeout(0.5)
+
+    tb.sim.process(prober())
+    tb.run(until=60.0)
+    checked.append(source.stats())
+    assert checked[-1] == _indexed_stats(source)
+    assert any(row["inflight"] for stats in checked for row in stats.values())
+    for stats in checked:
+        for row in stats.values():
+            assert list(row) == list(_COLUMNS) + ["resp_mean", "resp_max"]
+            for name in _COLUMNS:
+                assert type(row[name]) is int
+            assert type(row["resp_mean"]) is float
+            assert type(row["resp_max"]) is float
+    assert json.dumps(checked[-1]) == json.dumps(_indexed_stats(source))
+    assert checked[-1]["open"]["resp_mean"] > 0.0
 
 
 def test_duplicate_class_names_rejected():
