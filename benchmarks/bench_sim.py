@@ -26,6 +26,10 @@ adaptation), and the recovery run (supervision + checkpoints + failover)
   subsystems (process resumes, fluid-share updates, network callbacks,
   process lifecycle), the numbers ROADMAP item 1's "where does kernel
   time go" question asks for.
+* **layer microbenchmarks** — ns per operation of five kernel paths run
+  alone (``*_ns`` fields): a timeout-yield loop, succeed→resume,
+  spawn→exit, a ``Store`` ping-pong round trip and a one-job fluid
+  submit→done.  Best of interleaved rounds, each a fresh simulator.
 
 Headline numbers land in ``benchmarks/out/BENCH_sim.json``; the
 committed copy is the baseline ``repro bench check`` compares against
@@ -38,8 +42,11 @@ from statistics import median
 
 from repro.experiments import fig5_database, run_chaos, run_recovery
 from repro.obs import KernelProfiler
+from repro.sim import FluidShare, Simulator, Store
 
 _ROUNDS = 9
+#: Operations per layer-microbenchmark run.
+_MICRO_OPS = 4000
 _MAX_OVERHEAD = 0.05
 _MIN_COVERAGE = 0.95
 
@@ -59,6 +66,99 @@ def _workload(profiler=None):
     fig5_database(seed=0, profiler=profiler)
     run_chaos(seed=0, profiler=profiler)
     run_recovery(seed=0, profiler=profiler)
+
+
+def _timeout_yield():
+    sim = Simulator()
+
+    def loop():
+        for _ in range(_MICRO_OPS):
+            yield sim.timeout(1.0)
+
+    sim.process(loop())
+    sim.run()
+
+
+def _succeed_resume():
+    """Two processes hand the turn back and forth through fresh events."""
+    sim = Simulator()
+    parked = [None]
+
+    def side():
+        for _ in range(_MICRO_OPS // 2):
+            mine = sim.event()
+            other, parked[0] = parked[0], mine
+            if other is not None:
+                other.succeed()
+            yield mine
+
+    sim.process(side())
+    sim.process(side())
+    sim.run()
+
+
+def _spawn_exit():
+    sim = Simulator()
+
+    def child():
+        yield from ()
+
+    def parent():
+        for _ in range(_MICRO_OPS):
+            yield sim.process(child())
+
+    sim.process(parent())
+    sim.run()
+
+
+def _store_pingpong():
+    """One op is a round trip: put, get, put back, get back."""
+    sim = Simulator()
+    ping, pong = Store(sim), Store(sim)
+
+    def echo():
+        for _ in range(_MICRO_OPS):
+            item = yield ping.get()
+            yield pong.put(item)
+
+    def client():
+        for i in range(_MICRO_OPS):
+            yield ping.put(i)
+            yield pong.get()
+
+    sim.process(echo())
+    sim.process(client())
+    sim.run()
+
+
+def _fluid_submit_done():
+    sim = Simulator()
+    share = FluidShare(sim, 1.0)
+
+    def loop():
+        for _ in range(_MICRO_OPS):
+            yield share.submit(1.0).done
+
+    sim.process(loop())
+    sim.run()
+
+
+_MICRO = (
+    ("timeout_yield_ns", _timeout_yield),
+    ("succeed_resume_ns", _succeed_resume),
+    ("spawn_exit_ns", _spawn_exit),
+    ("store_pingpong_ns", _store_pingpong),
+    ("fluid_submit_done_ns", _fluid_submit_done),
+)
+
+
+def _layer_ns(interleaved_best):
+    """ns per operation of each kernel layer microbenchmark."""
+    best = interleaved_best([fn for _, fn in _MICRO], rounds=7, repeats=1)
+    return {
+        name: round(seconds / _MICRO_OPS * 1e9, 1)
+        for (name, _), seconds in zip(_MICRO, best)
+    }
 
 
 def _subsystem_shares(profiler):
@@ -111,7 +211,9 @@ def test_profiled_workload_byte_identical():
     assert profiler.sampled_steps > 0
 
 
-def test_sim_throughput_and_profiler_overhead(artifact_dir, paired_ratios):
+def test_sim_throughput_and_profiler_overhead(
+    artifact_dir, paired_ratios, interleaved_best
+):
     """events/sec headline; default profiler < 5 % overhead, >= 95 % coverage."""
     profilers = []
 
@@ -152,6 +254,8 @@ def test_sim_throughput_and_profiler_overhead(artifact_dir, paired_ratios):
         "share_network": shares["network"],
         "share_lifecycle": shares["lifecycle"],
         "share_other": shares["other"],
+        # Layer microbenchmarks (banded; lower is better).
+        **_layer_ns(interleaved_best),
     }
     (artifact_dir / "BENCH_sim.json").write_text(
         json.dumps(  # repro: allow[DET501] -- benchmark wall-time report, not sim state

@@ -13,8 +13,8 @@ Comparison rules, per field:
   counts), so any drift is a regression.
 * **band** — floats are wall-clock-derived (timings, speedups, overhead
   ratios) and compared within a relative tolerance band.  Direction
-  matters: a timing (key ending ``_s`` or containing ``overhead``) only
-  regresses when it *grows* past the band; a throughput-like value
+  matters: a timing (key ending ``_s`` or ``_ns``, or containing
+  ``overhead``) only regresses when it *grows* past the band; a throughput-like value
   (``speedup``, ``cache_hit_rate``) only regresses when it *shrinks*.
   Movement past the band in the good direction is an ``improved`` note,
   not a failure.
@@ -71,7 +71,7 @@ def _bench_filename(name: str) -> str:
 
 def _is_timing(key: str) -> bool:
     """True when lower is better for this float field."""
-    return key.endswith("_s") or "overhead" in key
+    return key.endswith(("_s", "_ns")) or "overhead" in key
 
 
 def _field_kind(key: str, value) -> str:

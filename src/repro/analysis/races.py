@@ -13,7 +13,8 @@ ordering between the two accesses other than the queue's arrival order.
 :class:`~repro.sim.core.Simulator`:
 
 * :meth:`attach` installs a step hook recording which scheduled event
-  (time, priority, FIFO sequence) is currently executing;
+  (time, priority, FIFO sequence) is currently executing, and a push hook
+  recording which step scheduled each event (its causal parent);
 * :meth:`watch_store` / :meth:`watch_mapping` / :meth:`record` declare
   the shared state to track (mailbox stores, controller tables, host or
   link state) and record per-context read/write sets between yields;
@@ -29,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
@@ -192,38 +192,25 @@ class RaceDetector:
         self._parent: Dict[int, Tuple[int, float]] = {}
         #: step seq -> transitive same-timestamp ancestors (window-local).
         self._ancestors: Dict[int, frozenset] = {}
-        self._orig_enqueue: Optional[Callable[..., None]] = None
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> "RaceDetector":
-        if self.sim.step_hook is not None and self.sim.step_hook is not self._on_step:
+        sim = self.sim
+        if sim.step_hook is not None and sim.step_hook is not self._on_step:
             raise RuntimeError("simulator already has a step hook installed")
-        self.sim.step_hook = self._on_step
-        if self._orig_enqueue is None:
-            original = self.sim._enqueue
-            self._orig_enqueue = original
-
-            def enqueue(
-                event: Event, delay: float, priority: int,
-                slot: Optional[int] = None,
-            ) -> None:
-                if not event._scheduled and self._current is not None:
-                    time, _prio, seq, _ctx = self._current
-                    self._parent[id(event)] = (seq, time)
-                original(event, delay, priority, slot)
-
-            self.sim._enqueue = enqueue  # type: ignore[method-assign]
+        if sim.push_hook is not None and sim.push_hook != self._on_push:
+            raise RuntimeError("simulator already has a push hook installed")
+        sim.step_hook = self._on_step
+        # While the push hook is set, every push goes through
+        # Simulator._enqueue, which calls it once per event.
+        sim.push_hook = self._on_push
         self._attached = True
         return self
 
     def detach(self) -> "RaceDetector":
         if self._attached:
             self.sim.step_hook = None
-            if self._orig_enqueue is not None:
-                # attach() shadowed the class method with an instance
-                # attribute; removing the shadow restores the original.
-                self.sim.__dict__.pop("_enqueue", None)
-                self._orig_enqueue = None
+            self.sim.push_hook = None
             self._attached = False
         return self
 
@@ -232,7 +219,13 @@ class RaceDetector:
         self._flush()
         return self.reports
 
-    # -- step hook -------------------------------------------------------
+    # -- kernel hooks ----------------------------------------------------
+    def _on_push(self, event: Event) -> None:
+        """Record the executing step as the causal parent of ``event``."""
+        if self._current is not None:
+            time, _prio, seq, _ctx = self._current
+            self._parent[id(event)] = (seq, time)
+
     def _context_of(self, event: Event) -> str:
         """Stable, human-readable identity for the code an event runs."""
         proc = getattr(event, "callbacks", None)

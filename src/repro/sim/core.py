@@ -26,7 +26,7 @@ Example
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from itertools import count
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -118,22 +118,32 @@ class Event:
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Mark the event successful and schedule its callbacks."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, 0.0, priority)
+        sim = self.sim
+        if not sim._direct:
+            sim._enqueue(self, 0.0, priority)
+        elif not self._scheduled:
+            self._scheduled = True
+            heappush(sim._heap, (sim._now, priority, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
         """Mark the event failed; waiters receive ``exception``."""
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.sim._enqueue(self, 0.0, priority)
+        sim = self.sim
+        if not sim._direct:
+            sim._enqueue(self, 0.0, priority)
+        elif not self._scheduled:
+            self._scheduled = True
+            heappush(sim._heap, (sim._now, priority, next(sim._seq), self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -142,15 +152,6 @@ class Event:
             self.succeed(event._value)
         else:
             self.fail(event._value)
-
-    # -- plumbing ---------------------------------------------------------
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:
-            cb(self)
-        if not self._ok and not self.defused:
-            exc = self._value
-            raise exc
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "pending"
@@ -180,11 +181,19 @@ class Timeout(Event):
     ):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
+        # Event.__init__ and the push are inlined: the hottest constructor.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._enqueue(self, delay, priority)
+        self._ok = True
+        self.defused = False
+        self.delay = delay
+        if sim._direct:
+            self._scheduled = True
+            heappush(sim._heap, (sim._now + delay, priority, next(sim._seq), self))
+        else:
+            self._scheduled = False
+            sim._enqueue(self, delay, priority)
 
 
 class _Initialize(Event):
@@ -193,14 +202,20 @@ class _Initialize(Event):
     __slots__ = ("process",)
 
     def __init__(self, sim: "Simulator", process: "Process"):
-        super().__init__(sim)
-        self._ok = True
+        self.sim = sim
+        self.callbacks = [process._resume]
         self._value = None
+        self._ok = True
+        self.defused = False
         #: Back-reference for instrumentation (the observability recorder
         #: opens the process's lifecycle span when this event fires).
         self.process = process
-        self.callbacks.append(process._resume)
-        sim._enqueue(self, 0.0, URGENT)
+        if sim._direct:
+            self._scheduled = True
+            heappush(sim._heap, (sim._now, URGENT, next(sim._seq), self))
+        else:
+            self._scheduled = False
+            sim._enqueue(self, 0.0, URGENT)
 
 
 class Process(Event):
@@ -269,15 +284,17 @@ class Process(Event):
 
     # -- plumbing ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.sim._active = self
+        sim = self.sim
+        generator = self.generator
+        sim._active = self
         try:
             while True:
                 try:
                     if event._ok:
-                        result = self.generator.send(event._value)
+                        result = generator.send(event._value)
                     else:
                         event.defused = True
-                        result = self.generator.throw(event._value)
+                        result = generator.throw(event._value)
                 except StopIteration as stop:
                     self._ok = True
                     self._value = stop.value
@@ -294,26 +311,31 @@ class Process(Event):
                     self._ok = False
                     self._value = exc
                     break
-                if result.sim is not self.sim:
+                if result.sim is not sim:
                     exc = SimulationError("yielded event belongs to another simulator")
                     self._ok = False
                     self._value = exc
                     break
 
-                if result.callbacks is not None:
+                callbacks = result.callbacks
+                if callbacks is not None:
                     # Pending (or triggered but unprocessed) event: wait for it.
-                    result.callbacks.append(self._resume)
+                    callbacks.append(self._resume)
                     self._target = result
-                    self.sim._active = None
+                    sim._active = None
                     return
                 # Already processed: feed its outcome straight back in.
                 event = result
         finally:
-            if self.sim._active is self:
-                self.sim._active = None
+            if sim._active is self:
+                sim._active = None
         # Generator finished (or crashed): fire the process event.
         self._target = None
-        self.sim._enqueue(self, 0.0, URGENT)
+        if not sim._direct:
+            sim._enqueue(self, 0.0, URGENT)
+        elif not self._scheduled:
+            self._scheduled = True
+            heappush(sim._heap, (sim._now, URGENT, next(sim._seq), self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
@@ -336,6 +358,15 @@ class Simulator:
         self._heap: list = []
         self._seq = count()
         self._tiebreak = tiebreak
+        #: Opt-in push observer: called as ``hook(event)`` once per event,
+        #: just before its first push.  :class:`repro.analysis.races.
+        #: RaceDetector` learns each event's causal parent through it.
+        self._push_hook: Optional[Callable[[Event], None]] = None
+        #: True while neither a tiebreak policy nor a push hook is
+        #: installed.  The hot push sites (``Timeout``, ``succeed``/``fail``,
+        #: process start and exit, FluidShare's completion timer) then push
+        #: their heap entry themselves; otherwise they call :meth:`_enqueue`.
+        self._direct = tiebreak is None
         self._active: Optional[Process] = None
         #: End-of-instant work: callables appended here run once, just
         #: before the clock next advances (or the schedule drains), in
@@ -405,7 +436,7 @@ class Simulator:
     def timeout(
         self, delay: float, value: Any = None, priority: int = NORMAL
     ) -> Timeout:
-        return Timeout(self, delay, value, priority=priority)
+        return Timeout(self, delay, value, priority)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)
@@ -433,10 +464,21 @@ class Simulator:
                 "policy before creating any process or timeout"
             )
         self._tiebreak = policy
+        self._direct = policy is None and self._push_hook is None
 
     @property
     def tiebreak(self) -> Optional[Any]:
         return self._tiebreak
+
+    @property
+    def push_hook(self) -> Optional[Callable[[Event], None]]:
+        """The installed push observer, or None."""
+        return self._push_hook
+
+    @push_hook.setter
+    def push_hook(self, hook: Optional[Callable[[Event], None]]) -> None:
+        self._push_hook = hook
+        self._direct = hook is None and self._tiebreak is None
 
     def _enqueue(
         self, event: Event, delay: float, priority: int, slot: Optional[int] = None
@@ -445,14 +487,18 @@ class Simulator:
 
         ``slot`` is a FIFO number reserved earlier with ``next(self._seq)``:
         the event then sorts as if it had been pushed at reservation time.
+        The general push path: while ``_direct`` holds, the hot push sites
+        inline its no-policy, no-hook case.
         """
         if event._scheduled:
             return
         event._scheduled = True
+        if self._push_hook is not None:
+            self._push_hook(event)
         seq = next(self._seq) if slot is None else slot
         if self._tiebreak is not None:
             seq = self._tiebreak.key(self._now + delay, priority, seq, event)
-        heapq.heappush(self._heap, (self._now + delay, priority, seq, event))
+        heappush(self._heap, (self._now + delay, priority, seq, event))
 
     def schedule_callback(
         self, delay: float, fn: Callable[[], None], priority: int = NORMAL
@@ -471,12 +517,6 @@ class Simulator:
         return ev
 
     # -- execution ----------------------------------------------------------
-    def _end_instant(self) -> None:
-        eoi = self._eoi
-        for fn in eoi:
-            fn()
-        eoi.clear()
-
     def step(self) -> None:
         """Process the single next event.
 
@@ -490,17 +530,21 @@ class Simulator:
                 "step() re-entered from inside a process; processes must "
                 "yield events instead of driving the kernel"
             )
-        if self._eoi and (not self._heap or self._heap[0][0] > self._now):
-            self._end_instant()
+        heap = self._heap
+        eoi = self._eoi
+        if eoi and (not heap or heap[0][0] > self._now):
+            for fn in eoi:
+                fn()
+            eoi.clear()
             return
-        if not self._heap:
+        if not heap:
             raise SimulationError("step() on an empty schedule")
-        t, _prio, _seq, event = heapq.heappop(self._heap)
+        t, prio, seq, event = heappop(heap)
         if t < self._now - 1e-12:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = t
         if self.step_hook is not None:
-            self.step_hook(t, _prio, _seq, event)
+            self.step_hook(t, prio, seq, event)
         perf = self.perf
         if perf is not None:
             # Burst sampling: during a profiler off phase the countdown is
@@ -513,8 +557,13 @@ class Simulator:
             if n:
                 perf.skip = n - 1
             else:
-                perf.pre_step(t, _prio, event)
-        event._run_callbacks()
+                perf.pre_step(t, prio, event)
+        callbacks = event.callbacks
+        event.callbacks = None
+        for cb in callbacks:
+            cb(event)
+        if not event._ok and not event.defused:
+            raise event._value
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or virtual time reaches ``until``."""
@@ -527,27 +576,25 @@ class Simulator:
             raise SimulationError(
                 f"run(until={until!r}) is in the past (now={self._now!r})"
             )
+        limit = float("inf") if until is None else until
         heap = self._heap
         eoi = self._eoi
         try:
             while True:
-                while heap:
-                    if until is not None and heap[0][0] > until:
-                        if eoi:
-                            # The pending work may arm an event at or
-                            # before ``until``: run it, then decide.
-                            self._end_instant()
-                            continue
-                        self._now = until
-                        return
-                    if eoi and heap[0][0] > self._now:
-                        # Run it here, not as a step() of its own, so every
-                        # step() call inside run() dispatches one event.
-                        self._end_instant()
-                    self.step()
-                if not eoi:
+                if eoi and (not heap or heap[0][0] > self._now):
+                    # End-of-instant work runs here, not as a step() of its
+                    # own, so every step() call inside run() dispatches one
+                    # event.  It may arm an event at or before ``until``,
+                    # so the bound is checked after it.
+                    for fn in eoi:
+                        fn()
+                    eoi.clear()
+                if not heap:
                     break
-                self._end_instant()
+                if heap[0][0] > limit:
+                    self._now = until
+                    return
+                self.step()
         except StopSimulation:
             return
         finally:

@@ -23,6 +23,7 @@ the evolution is exact (no time-stepping).
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import Callable, Dict, Optional
 
 from .core import Event, NORMAL, SimulationError, Simulator
@@ -120,9 +121,13 @@ class FluidShare:
         self._speed = float(speed)
         self._jobs: Dict[FluidJob, None] = {}
         self._last_update = sim.now
-        #: Bumped by every change; a completion timer armed under an older
-        #: generation is stale and does nothing when it fires.
-        self._timer_gen = 0
+        #: The armed completion timer.  Every change clears it, so a timer
+        #: that is no longer this one is stale and does nothing when it
+        #: fires.
+        self._timer: Optional[Event] = None
+        #: Bound once, not once per change or per armed timer.
+        self._reschedule_cb = self._reschedule
+        self._fire_cb = self._fire
         #: True while a change awaits the end-of-instant :meth:`_reschedule`.
         self._dirty = False
         #: FIFO slot reserved by the latest change: the completion timer is
@@ -170,13 +175,14 @@ class FluidShare:
             raise SimulationError(f"weight must be non-negative, got {weight!r}")
         if cap is not None and cap < 0:
             raise SimulationError(f"cap must be non-negative, got {cap!r}")
-        if self.sim.perf is not None:
-            self.sim.perf.fluid_event(self.name, "submit")
+        sim = self.sim
+        if sim.perf is not None:
+            sim.perf.fluid_event(self.name, "submit")
         self._advance()
         job = FluidJob(self, work, weight, cap, owner)
         if work <= _EPS:
             job.remaining = 0.0
-            job.done.succeed(self.sim.now)
+            job.done.succeed(sim._now)
         else:
             self._jobs[job] = None
         self._mark()
@@ -244,16 +250,21 @@ class FluidShare:
         self._mark()
 
     def cancel(self, job: FluidJob) -> None:
-        """Abort a job; its ``done`` event fails with :class:`SimulationError`."""
+        """Abort a job; its ``done`` event fails with :class:`SimulationError`.
+
+        A job that the catch-up to now finds complete is not cancelled:
+        its ``done`` succeeds as usual.
+        """
         if job not in self._jobs:
             return
         if self.sim.perf is not None:
             self.sim.perf.fluid_event(self.name, "cancel")
         self._advance()
-        del self._jobs[job]
-        job._rate = 0.0
-        job.done.defused = True
-        job.done.fail(SimulationError("job cancelled"))
+        if job in self._jobs:  # else it completed at the catch-up point
+            del self._jobs[job]
+            job._rate = 0.0
+            job.done.defused = True
+            job.done.fail(SimulationError("job cancelled"))
         self._mark()
 
     def utilization_since(self, t0: float, served0: float) -> float:
@@ -376,7 +387,7 @@ class FluidShare:
 
     def _advance(self) -> None:
         """Progress every job's remaining work to the current time."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
         # dt can legitimately be as small as the Zeno-guard step in
@@ -384,17 +395,19 @@ class FluidShare:
         # spin its timer forever without completing.
         if dt <= 0.0 or not self._jobs:
             return
+        tap = self.usage_tap
         finished = []
         for job in self._jobs:
             delta = job._rate * dt
             if delta > 0:
-                done_amount = min(delta, job.remaining)
-                job.remaining -= done_amount
-                job.consumed += done_amount
+                remaining = job.remaining
+                done_amount = remaining if remaining < delta else delta
+                job.remaining = remaining = remaining - done_amount
+                consumed = job.consumed = job.consumed + done_amount
                 self.total_served += done_amount
-                if self.usage_tap is not None:
-                    self.usage_tap(job.owner, done_amount)
-                if job.remaining <= _EPS * max(1.0, job.consumed):
+                if tap is not None:
+                    tap(job.owner, done_amount)
+                if remaining <= _EPS * (consumed if consumed > 1.0 else 1.0):
                     job.remaining = 0.0
                     finished.append(job)
         for job in finished:
@@ -409,12 +422,12 @@ class FluidShare:
         FIFO slot, exactly as pushing a new timer here would; only the
         last change's slot is used.
         """
-        self._timer_gen += 1
+        self._timer = None
         sim = self.sim
         self._slot = next(sim._seq)
         if not self._dirty:
             self._dirty = True
-            sim._eoi.append(self._reschedule)
+            sim._eoi.append(self._reschedule_cb)
 
     def _reschedule(self) -> None:
         """Recompute rates and arm a timer for the next completion.
@@ -427,38 +440,63 @@ class FluidShare:
         """
         self._dirty = False
         sim = self.sim
+        jobs = self._jobs
         if sim.perf is not None:
             # The O(active flows) pass ROADMAP item 1 targets: one per
             # share per instant with changes, over the whole job set.
-            sim.perf.fluid_reschedule(self.name, len(self._jobs))
-        rates = self._rates()
-        horizon = math.inf
-        for job, rate in rates.items():
-            job._rate = rate
-            if rate > _EPS:
-                horizon = min(horizon, job.remaining / rate)
-        if horizon is math.inf:
+            sim.perf.fluid_reschedule(self.name, len(jobs))
+        if not jobs:
             return
+        if len(jobs) == 1:
+            # _rates() for one job, without its dict and list: the same
+            # expressions on the same operands, so the same floats.
+            (job,) = jobs
+            weight = job.weight
+            budget = self._speed
+            rate = 0.0
+            if weight > _EPS and budget > _EPS:
+                total_w = sum((weight,))
+                fair = budget * weight / total_w
+                cap = job.cap
+                if cap is not None and cap < fair - _EPS:
+                    rate = cap or 0.0
+                else:
+                    rate = fair
+            job._rate = rate
+            if rate <= _EPS:
+                return
+            horizon = job.remaining / rate
+        else:
+            horizon = math.inf
+            for job, rate in self._rates().items():
+                job._rate = rate
+                if rate > _EPS:
+                    horizon = min(horizon, job.remaining / rate)
+        if not horizon < math.inf:
+            return  # nothing completes (an infinite or NaN horizon)
         # Zeno guard: with a near-finished job the exact horizon can be so
         # small that now + horizon == now in float arithmetic, which would
         # re-fire the timer forever at a frozen clock.  Bump the horizon to
         # at least one representable step; the overshoot just completes the
         # job (delta is clamped to `remaining` in _advance).
-        now = sim.now
+        now = sim._now
         horizon = max(horizon, 1e-12, abs(now) * 1e-12)
-        gen = self._timer_gen
-
-        def fire(_event: Event) -> None:
-            if gen != self._timer_gen:
-                return  # stale timer; a later change superseded it
-            self._advance()
-            self._mark()
-
         timer = Event(sim)
         timer._ok = True
         timer._value = None
-        timer.callbacks.append(fire)
-        sim._enqueue(timer, horizon, NORMAL, self._slot)
+        timer.callbacks.append(self._fire_cb)
+        self._timer = timer
+        if sim._direct:
+            timer._scheduled = True
+            heappush(sim._heap, (now + horizon, NORMAL, self._slot, timer))
+        else:
+            sim._enqueue(timer, horizon, NORMAL, self._slot)
+
+    def _fire(self, timer: Event) -> None:
+        """Completion-timer callback; a stale timer does nothing."""
+        if timer is self._timer:
+            self._advance()
+            self._mark()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<FluidShare {self.name!r} speed={self._speed} jobs={len(self._jobs)}>"

@@ -46,6 +46,14 @@ def test_band_fields_have_direction():
     assert rows["wall_time_s"]["status"] == "improved"
 
 
+def test_ns_per_op_fields_are_timings():
+    base = dict(BASELINE, spawn_exit_ns=1000.0)
+    rows = by_field(compare_records("b", dict(base, spawn_exit_ns=2000.0), base))
+    assert rows["spawn_exit_ns"]["status"] == "regression"
+    rows = by_field(compare_records("b", dict(base, spawn_exit_ns=400.0), base))
+    assert rows["spawn_exit_ns"]["status"] == "improved"
+
+
 def test_missing_field_is_a_structural_regression():
     fresh = {k: v for k, v in BASELINE.items() if k != "cells"}
     rows = by_field(compare_records("b", fresh, BASELINE))

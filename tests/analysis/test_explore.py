@@ -150,3 +150,14 @@ def test_schedule_budget_blocks_certification():
     assert result.budget_hit == "max_schedules"
     assert not result.certified
     assert not result.exhausted
+
+
+def test_chaos_certifies_at_the_ci_budget():
+    """The CI check: ``repro check explore chaos --max-schedules 8
+    --max-depth 2`` certifies the chaos workload over its tie windows."""
+    result = ScheduleExplorer(
+        builtin_scenarios(seed=0)["chaos"], max_schedules=8, max_depth=2
+    ).explore()
+    assert result.certified
+    assert result.divergences == []
+    assert result.tie_windows == 1336

@@ -7,8 +7,10 @@ heap first.  The detector must flag it — deterministically, with the same
 report on every run.
 """
 
+import pytest
+
 from repro.analysis.races import RaceDetector
-from repro.sim import NORMAL, Simulator, Store, URGENT
+from repro.sim import NORMAL, FluidShare, Simulator, Store, Timeout, URGENT
 
 
 def _racy_run():
@@ -191,10 +193,152 @@ def test_setup_accesses_never_race():
 
 def test_detach_restores_simulator_hooks():
     sim = Simulator()
+    assert sim._direct  # no observer: hot sites push the heap directly
     detector = RaceDetector(sim).attach()
     assert sim.step_hook is not None
-    assert "_enqueue" in sim.__dict__  # instrumented shadow installed
+    assert sim.push_hook is not None  # every push now reports its parent
+    assert not sim._direct
     detector.detach()
     assert sim.step_hook is None
-    assert "_enqueue" not in sim.__dict__  # class method restored
-    assert sim._enqueue.__func__ is Simulator._enqueue
+    assert sim.push_hook is None
+    assert sim._direct
+
+
+# -- causal parents are learned on every push path --------------------------
+#
+# Each program makes two same-instant, same-priority writes from different
+# contexts, where the second step was scheduled by the first.  The detector
+# learns that parent through the kernel's push hook; a push that bypassed
+# the hook would leave the pair unordered and report a false race.
+
+
+def _chain_timeout0(sim, touch):
+    def writer():
+        yield sim.timeout(1.0)
+        touch()
+        Timeout(sim, 0.0).callbacks.append(lambda _e: touch())
+
+    sim.process(writer(), name="writer")
+
+
+def _chain_succeed(sim, touch, fail=False):
+    wake = sim.event()
+
+    def signaller():
+        yield sim.timeout(1.0)
+        touch()
+        if fail:
+            wake.fail(RuntimeError("wake"))
+        else:
+            wake.succeed()
+
+    def waiter():
+        try:
+            yield wake
+        except RuntimeError:
+            pass
+        touch()
+
+    sim.process(signaller(), name="signaller")
+    sim.process(waiter(), name="waiter")
+
+
+def _chain_fluid_catch_up(sim, touch):
+    """The share's catch-up finds the job done inside the writer's step."""
+    share = FluidShare(sim, 1.0)
+    jobs = []
+
+    def writer():
+        tick = sim.timeout(1.0)  # sorts before the completion timer
+        jobs.append(share.submit(1.0))
+        yield tick
+        touch()
+        share.sync()
+
+    def waiter():
+        yield jobs[0].done
+        touch()
+
+    sim.process(writer(), name="writer")
+    sim.process(waiter(), name="waiter")
+
+
+def _chain_fluid_timer(sim, touch):
+    """The completion timer's step serves the work and wakes the waiter."""
+    share = FluidShare(sim, 1.0)
+    share.usage_tap = lambda _owner, _amount: touch()
+
+    def waiter():
+        yield share.submit(1.0).done
+        touch()
+
+    sim.process(waiter(), name="waiter")
+
+
+def _chain_spawn(sim, touch):
+    def child():
+        touch()
+        yield sim.timeout(0.0)
+
+    def parent():
+        # URGENT, like the child's start: a different priority would order
+        # the two steps without any causal link.
+        yield sim.timeout(1.0, priority=URGENT)
+        touch()
+        sim.process(child(), name="child")
+
+    sim.process(parent(), name="parent")
+
+
+def _chain_exit(sim, touch):
+    def child():
+        yield sim.timeout(1.0)
+        touch()
+
+    def parent():
+        # Through a condition, so the resume is the parent's own step, not
+        # the child's exit event (which the detector files under the child).
+        yield sim.any_of([sim.process(child(), name="child")])
+        touch()
+
+    sim.process(parent(), name="parent")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _chain_timeout0,
+        _chain_succeed,
+        lambda sim, touch: _chain_succeed(sim, touch, fail=True),
+        _chain_fluid_catch_up,
+        _chain_fluid_timer,
+        _chain_spawn,
+        _chain_exit,
+    ],
+    ids=["timeout0", "succeed", "fail", "fluid-catch-up", "fluid-timer",
+         "spawn", "exit"],
+)
+def test_same_instant_causal_chain_is_not_a_race(build):
+    sim = Simulator()
+    detector = RaceDetector(sim).attach()
+    touches = []
+
+    def touch():
+        detector.record("state", "write")
+        touches.append((sim.now, detector._current[3]))
+
+    build(sim, touch)
+    sim.run()
+    # The program really made two same-instant writes from two contexts...
+    assert len(touches) == 2
+    assert touches[0][0] == touches[1][0] > 0.0
+    assert touches[0][1] != touches[1][1]
+    # ...and the detector saw the second step descend from the first.
+    assert detector.finish() == []
+
+
+def test_chaos_run_reports_no_races():
+    from repro.experiments import run_chaos
+
+    _, payload = run_chaos(seed=0, detect_races=True)
+    assert payload["races"] == []

@@ -90,7 +90,7 @@ def test_interleaved_inspection_leaves_trace_unchanged():
 
     def state(ctx, share):
         return (
-            share._last_update, share._timer_gen, share._dirty, share._slot,
+            share._last_update, share._timer, share._dirty, share._slot,
             list(ctx.sim._eoi), len(ctx.sim._heap),
         )
 
@@ -104,8 +104,8 @@ def test_interleaved_inspection_leaves_trace_unchanged():
         peeked = share.peek()
         share.served_now()
         rates = [job.rate for job in share._jobs]
-        # Passive reads advance neither the lazy fold point nor the
-        # completion-timer generation, and neither run nor drop a pending
+        # Passive reads move neither the lazy fold point nor the
+        # armed completion timer, and neither run nor drop a pending
         # rescheduling pass.
         assert state(ctx, share) == before
         # ...yet mid-instant they already show the post-change rates.

@@ -341,3 +341,27 @@ def test_stop_mid_instant_then_run_finishes():
     sim.run()
     assert [j.done.value for j in jobs] == [3.0, 3.0]
     assert sim.is_idle()
+
+
+def test_cancel_at_the_completion_instant_lets_the_job_finish():
+    """A cancel whose catch-up finds the job complete is a no-op.
+
+    The canceller's timeout was pushed before the job's completion timer,
+    so it runs first at the completion instant; the job is still listed
+    until the catch-up inside cancel() serves its last work.
+    """
+    sim = Simulator()
+    cpu = FluidShare(sim, speed=1.0)
+    jobs = []
+
+    def canceller():
+        tick = sim.timeout(1.0)
+        jobs.append(cpu.submit(work=1.0))
+        yield tick
+        cpu.cancel(jobs[0])
+
+    sim.process(canceller())
+    sim.run()
+    assert jobs[0].done.ok
+    assert jobs[0].done.value == 1.0
+    assert cpu.active_jobs == 0
