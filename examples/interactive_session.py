@@ -25,7 +25,7 @@ from repro.obs import InteractiveContext, replay
 
 # -- 1. Run to the first adaptation ----------------------------------------
 
-ctx = InteractiveContext("fig5", seed=0)
+ctx = InteractiveContext("fig5sess", seed=0)
 ctx.run_until(lambda c: len(c.switches()) >= 1)
 switch = ctx.switches()[0]
 print(
@@ -66,7 +66,7 @@ print(f"run finished: total_time={payload['total_time']:.2f}s "
 script = ctx.script()
 print(f"intervention script: {script}")
 
-twin = replay("fig5", 0, script)
+twin = replay("fig5sess", 0, script)
 _fig2, payload2 = twin.finish()
 same = (
     json.dumps(payload2, sort_keys=True, default=str)

@@ -39,7 +39,9 @@ expressed against the parent run's own schedule for the same reason.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -520,124 +522,33 @@ def run_racy(
     return payload
 
 
-def _run_fig5_cell(
-    seed: int, tiebreak=None, detect_races: bool = False, recorder=None
-) -> Dict[str, Any]:
-    """One Experiment-3 profiling cell as a self-contained testbed run.
+def _scene_payload(build: Callable, seed: int, **kwargs: Any) -> Dict[str, Any]:
+    return build(seed=seed, **kwargs).run()[1]
 
-    ``fig5_database`` spawns a fresh simulator per (config, point) cell
-    through the profiling driver, so tie directives — which name one
-    simulator's sequence numbers — cannot target it as a whole.  This
-    replays a single representative cell (fovea 160 at 60 % CPU, the
-    mid-grid point) exactly as :meth:`ProfilingDriver.measure` would.
-    """
-    from ..apps.visualization import VizWorkload, make_viz_app
-    from ..experiments.fig5 import EXP3_BW, EXP3_COSTS
-    from ..profiling import ResourcePoint, limits_for_point
-    from ..sandbox import Testbed
-    from ..sim import derive_seed
-    from ..tunable import Configuration
 
-    config = Configuration({"dR": 160, "c": "lzw", "l": 4})
-    point = ResourcePoint({"client.cpu": 0.6, "client.network": EXP3_BW})
-    run_seed = derive_seed(seed, f"{config.label()}|{point.label()}")
-    app = make_viz_app()
-    testbed = Testbed(
-        host_specs=app.env.host_specs(),
-        link_specs=app.env.link_specs(),
-        seed=run_seed,
-        tiebreak=tiebreak,
-    )
-    detector = None
-    if detect_races:
-        from .races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
-    if recorder is not None:
-        recorder.bind(testbed.sim)
-    workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits=limits_for_point(point),
-        workload=workload,
-        seed=run_seed,
-    )
-    testbed.run(until=600.0)
-    testbed.shutdown()
-    if not rt.finished.triggered:
-        raise RuntimeError("fig5 cell run did not finish by t=600")
-    payload: Dict[str, Any] = {
-        "experiment": "fig5-cell",
-        "seed": seed,
-        "config": config.label(),
-        "point": point.label(),
-        "metrics": rt.qos.snapshot(),
-        "image_times": [[t, d] for t, d in workload.image_times],
-    }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    if recorder is not None:
-        recorder.finish()
-        recorder.unbind()
-    return payload
+def _first_line(fn: Callable) -> str:
+    return (fn.__doc__ or "").strip().split("\n")[0]
 
 
 def builtin_scenarios(seed: int = 0) -> Dict[str, Scenario]:
-    """The explorable workloads behind ``repro check explore``."""
+    """The explorable workloads behind ``repro check explore``.
 
-    def chaos(tiebreak=None, detect_races=False, recorder=None):
-        from ..experiments.chaos import run_chaos
+    Every Scene entry of :data:`repro.scenarios.SCENARIOS` whose builder
+    takes ``tiebreak`` and ``detect_races``, plus :func:`run_racy`, the
+    calibration workload that must not certify.
+    """
+    from ..scenarios import resolve, scene_names
 
-        _fig, payload = run_chaos(
-            seed=seed,
-            tiebreak=tiebreak,
-            detect_races=detect_races,
-            recorder=recorder,
-        )
-        return payload
-
-    def recovery(tiebreak=None, detect_races=False, recorder=None):
-        from ..experiments.recovery import run_recovery
-
-        _fig, payload = run_recovery(
-            seed=seed,
-            tiebreak=tiebreak,
-            detect_races=detect_races,
-            recorder=recorder,
-        )
-        return payload
-
-    def fig5(tiebreak=None, detect_races=False, recorder=None):
-        return _run_fig5_cell(
-            seed, tiebreak=tiebreak, detect_races=detect_races,
-            recorder=recorder,
-        )
-
-    def racy(tiebreak=None, detect_races=False, recorder=None):
-        return run_racy(
-            seed, tiebreak=tiebreak, detect_races=detect_races,
-            recorder=recorder,
-        )
-
-    return {
-        "chaos": Scenario(
-            "chaos", chaos,
-            "adaptation trajectory through crash/partition/loss faults",
-        ),
-        "recovery": Scenario(
-            "recovery", recovery,
-            "supervision, checkpoint restart, failover, and overload shedding",
-        ),
-        "fig5": Scenario(
-            "fig5", fig5,
-            "one Experiment-3 profiling cell (fovea 160 @ 60% CPU)",
-        ),
-        "racy": Scenario(
-            "racy", racy,
-            "synthetic order-sensitive workload (must NOT certify)",
-        ),
-    }
+    out: Dict[str, Scenario] = {}
+    for name in scene_names():
+        build = resolve(name)
+        params = inspect.signature(build).parameters
+        if "tiebreak" in params and "detect_races" in params:
+            out[name] = Scenario(
+                name, functools.partial(_scene_payload, build, seed),
+                _first_line(build),
+            )
+    out["racy"] = Scenario(
+        "racy", functools.partial(run_racy, seed), _first_line(run_racy)
+    )
+    return out

@@ -58,7 +58,7 @@ def _figs(fn: Callable, *names: str):
     """Adapter: normalize every runner to name -> list[FigureResult|dict]."""
 
     def run(seed: int) -> List:
-        result = fn(seed=seed) if "seed" in fn.__code__.co_varnames else fn()
+        result = fn(seed=seed)
         if isinstance(result, tuple):
             return [r for r in result if isinstance(r, FigureResult)] or [result]
         return [result]
@@ -73,8 +73,10 @@ def _table(fn: Callable, name: str):
     return (name,), run
 
 
-#: target name -> (aliases, runner)
+#: target name -> runner(seed) (aliases share one runner).
 TARGETS: Dict[str, Callable] = {}
+#: Canonical (deduplicated) target list for `all`: each entry's first name.
+CANONICAL: List[str] = []
 for names, runner in (
     _figs(run_fig3a, "fig3a"),
     _figs(run_fig3b, "fig3b"),
@@ -98,15 +100,9 @@ for names, runner in (
     _table(limiter_mode_ablation, "ablation-a4"),
     _table(isolation_ablation, "ablation-a5"),
 ):
+    CANONICAL.append(names[0])
     for name in names:
         TARGETS[name] = runner
-
-#: Canonical (deduplicated) target list for `all`.
-CANONICAL = [
-    "fig3a", "fig3b", "fig4a", "fig4b", "fig5", "fig6a", "fig6b",
-    "fig7a", "fig7b", "fig7cd", "chaos", "recovery", "crowd",
-    "ablation-a1", "ablation-a2", "ablation-a3", "ablation-a4", "ablation-a5",
-]
 
 
 def _emit(item, out_dir: Path = None, plot: bool = True) -> None:

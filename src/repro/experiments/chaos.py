@@ -31,7 +31,7 @@ from .common import (
     viz_preference,
 )
 from .fig6 import EXP1_COSTS, fig6a_database
-from .scene import Scene
+from .scene import Scene, scene_runner
 
 __all__ = ["build_chaos", "run_chaos", "DEFAULT_FAULT_SPEC", "DEFAULT_VARIATIONS"]
 
@@ -73,7 +73,7 @@ def build_chaos(
     tiebreak=None,
     profiler=None,
 ) -> Scene:
-    """Construct the chaos scenario without running it.
+    """Construct the adaptation run through crash/partition/loss faults, unrun.
 
     Performs every construction statement of :func:`run_chaos` in the
     original order (this order is byte-identity-gated by ``bench_chaos``)
@@ -292,32 +292,4 @@ def _summarize_chaos(
     return result, payload
 
 
-def run_chaos(
-    seed: int = 0,
-    n_images: int = 8,
-    fault_spec: Optional[Dict] = None,
-    variations: Tuple[Tuple[float, float], ...] = DEFAULT_VARIATIONS,
-    until: float = 2000.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
-    supervise: bool = False,
-    tiebreak=None,
-    profiler=None,
-) -> Tuple[FigureResult, Dict]:
-    """Run the adaptive visualization app through a fault schedule.
-
-    Returns the rendered figure plus a JSON-friendly trajectory payload
-    (written to ``benchmarks/out/chaos.json`` by the benchmark harness).
-    Construction, run, and summary are :func:`build_chaos` +
-    ``testbed.run`` + ``Scene.finalize`` — see that function for what the
-    instrumentation/`supervise`/`tiebreak` knobs do.
-    """
-    scene = build_chaos(
-        seed=seed, n_images=n_images, fault_spec=fault_spec,
-        variations=variations, until=until, detect_races=detect_races,
-        recorder=recorder, usage=usage, supervise=supervise,
-        tiebreak=tiebreak, profiler=profiler,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+run_chaos = scene_runner(build_chaos)

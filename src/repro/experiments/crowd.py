@@ -57,7 +57,7 @@ from .common import (
 )
 from .fig6 import EXP1_COSTS, fig6a_database
 from .recovery import CHEAP_CONFIG
-from .scene import Scene
+from .scene import Scene, scene_runner
 
 __all__ = [
     "build_crowd",
@@ -406,31 +406,7 @@ def _summarize_crowd(
     return result, payload
 
 
-def run_crowd(
-    seed: int = 0,
-    scenario: str = "diurnal",
-    users: Optional[int] = None,
-    until: float = 120.0,
-    n_images: Optional[int] = None,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
-) -> Tuple[FigureResult, Dict]:
-    """Run one crowd scenario; returns (figure, JSON-friendly payload).
-
-    ``recorder``/``usage``/``profiler`` are strictly passive, as in
-    ``run_chaos`` — the payload is byte-identical with or without them.
-    Construction, run, and summary are :func:`build_crowd` +
-    ``testbed.run`` + ``Scene.finalize``.
-    """
-    scene = build_crowd(
-        seed=seed, scenario=scenario, users=users, until=until,
-        n_images=n_images, recorder=recorder, usage=usage,
-        profiler=profiler, tiebreak=tiebreak,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+run_crowd = scene_runner(build_crowd)
 
 
 def crowd_cell(payload: Mapping, seed: int) -> Dict:

@@ -19,9 +19,11 @@ from ..profiling import (
     ProfilingDriver,
     ResourceDimension,
     ResourcePoint,
+    limits_for_point,
     vary_one_plan,
 )
 from ..sandbox import ResourceLimits, Testbed
+from ..sim import derive_seed
 from ..tunable import Configuration
 from .common import (
     FigureResult,
@@ -30,7 +32,7 @@ from .common import (
     detach_instrumentation,
     start_estimate_exchanges,
 )
-from .scene import Scene
+from .scene import Scene, scene_runner
 
 __all__ = [
     "EXP3_COSTS",
@@ -38,6 +40,7 @@ __all__ = [
     "run_fig5",
     "fig5_database",
     "exp3_workload",
+    "build_fig5_cell",
     "build_fig5_session",
     "run_fig5_session",
     "DEFAULT_SESSION_VARIATIONS",
@@ -112,6 +115,78 @@ def fig5_database(
     plan = vary_one_plan(dims, "client.cpu", base)
     db = driver.profile(configs=configs, plan=plan, engine=engine)
     return db, dims, configs
+
+
+def build_fig5_cell(
+    seed: int = 0,
+    tiebreak=None,
+    detect_races: bool = False,
+    recorder=None,
+    usage=None,
+    profiler=None,
+) -> Scene:
+    """One Experiment-3 profiling cell as a self-contained testbed run.
+
+    ``fig5_database`` spawns a fresh simulator per (config, point) cell
+    through the profiling driver, so tie directives — which name one
+    simulator's sequence numbers — cannot target it as a whole.  This
+    replays a single representative cell (fovea 160 at 60 % CPU, the
+    mid-grid point) exactly as :meth:`ProfilingDriver.measure` would.
+    The Scene's figure is ``None``: its payload is the cell's QoS.
+    """
+    config = Configuration({"dR": 160, "c": "lzw", "l": 4})
+    point = ResourcePoint({"client.cpu": 0.6, "client.network": EXP3_BW})
+    run_seed = derive_seed(seed, f"{config.label()}|{point.label()}")
+    app = make_viz_app()
+    testbed = Testbed(
+        host_specs=app.env.host_specs(),
+        link_specs=app.env.link_specs(),
+        seed=run_seed,
+        tiebreak=tiebreak,
+    )
+    detector = None
+    if detect_races:
+        from ..analysis.races import RaceDetector, watch
+
+        detector = RaceDetector(testbed.sim).attach()
+        for host_name in sorted(testbed.hosts):
+            watch(detector, testbed.hosts[host_name])
+    attach_instrumentation(
+        testbed.sim, testbed, config,
+        usage=usage, recorder=recorder, profiler=profiler,
+    )
+    workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
+    rt = app.instantiate(
+        testbed,
+        config,
+        limits=limits_for_point(point),
+        workload=workload,
+        seed=run_seed,
+    )
+
+    def _finalize():
+        testbed.shutdown()
+        if not rt.finished.triggered:
+            raise RuntimeError("fig5 cell run did not finish by t=600")
+        payload: Dict = {
+            "experiment": "fig5-cell",
+            "seed": seed,
+            "config": config.label(),
+            "point": point.label(),
+            "metrics": rt.qos.snapshot(),
+            "image_times": [[t, d] for t, d in workload.image_times],
+        }
+        if detector is not None:
+            payload["races"] = [r.to_dict() for r in detector.finish()]
+            detector.detach()
+        detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+        return None, payload
+
+    return Scene(
+        name="fig5-cell", seed=seed, until=600.0, testbed=testbed,
+        finalize=_finalize, rt=rt, workload=workload,
+        recorder=recorder, usage=usage, profiler=profiler,
+    )
 
 
 #: CPU-share steps of the single adaptive Experiment-3 session: a drop to
@@ -207,7 +282,7 @@ def build_fig5_session(
         )
 
     return Scene(
-        name="fig5", seed=seed, until=until, testbed=testbed,
+        name="fig5sess", seed=seed, until=until, testbed=testbed,
         finalize=_finalize, rt=rt, controller=controller, workload=workload,
         client_exchange=client_ex, server_exchange=server_ex,
         recorder=recorder, usage=usage, profiler=profiler,
@@ -269,23 +344,7 @@ def _summarize_fig5_session(
     return result, payload
 
 
-def run_fig5_session(
-    seed: int = 0,
-    n_images: int = 30,
-    variations: Tuple[Tuple[float, float], ...] = DEFAULT_SESSION_VARIATIONS,
-    until: float = 2000.0,
-    recorder=None,
-    usage=None,
-    profiler=None,
-    tiebreak=None,
-) -> Tuple[FigureResult, Dict]:
-    """Run the adaptive Experiment-3 session (see :func:`build_fig5_session`)."""
-    scene = build_fig5_session(
-        seed=seed, n_images=n_images, variations=variations, until=until,
-        recorder=recorder, usage=usage, profiler=profiler, tiebreak=tiebreak,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+run_fig5_session = scene_runner(build_fig5_session)
 
 
 def run_fig5(seed: int = 0, engine=None) -> Tuple[FigureResult, FigureResult]:

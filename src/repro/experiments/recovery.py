@@ -56,7 +56,7 @@ from .common import (
     viz_preference,
 )
 from .fig6 import EXP1_COSTS, fig6a_database
-from .scene import Scene
+from .scene import Scene, scene_runner
 
 __all__ = [
     "build_recovery",
@@ -113,7 +113,7 @@ def build_recovery(
     tiebreak=None,
     profiler=None,
 ) -> Scene:
-    """Construct the recovery scenario without running it.
+    """Construct the supervision/failover/overload-shedding run, unrun.
 
     Performs every construction statement of :func:`run_recovery` in the
     original order (byte-identity-gated by ``bench_recovery``) and returns
@@ -487,37 +487,4 @@ def _summarize_recovery(
     return result, payload
 
 
-def run_recovery(
-    seed: int = 0,
-    n_images: int = 14,
-    fault_spec: Optional[Dict] = None,
-    crowd_spec: Optional[Dict] = None,
-    supervise: bool = True,
-    checkpoints: bool = True,
-    failover: bool = True,
-    brownout: bool = True,
-    until: float = 400.0,
-    detect_races: bool = False,
-    recorder=None,
-    usage=None,
-    tiebreak=None,
-    profiler=None,
-) -> Tuple[FigureResult, Dict]:
-    """Run the adaptive visualization app through crashes and a flash crowd.
-
-    Returns the rendered figure plus a JSON-friendly payload (availability,
-    MTTR records, failover latencies, shed/served accounting, and the full
-    adaptation trajectory).  Two same-seed runs produce byte-identical
-    payloads.  Construction, run, and summary are :func:`build_recovery`
-    + ``testbed.run`` + ``Scene.finalize`` — see that function for the
-    mode/instrumentation knobs.
-    """
-    scene = build_recovery(
-        seed=seed, n_images=n_images, fault_spec=fault_spec,
-        crowd_spec=crowd_spec, supervise=supervise, checkpoints=checkpoints,
-        failover=failover, brownout=brownout, until=until,
-        detect_races=detect_races, recorder=recorder, usage=usage,
-        tiebreak=tiebreak, profiler=profiler,
-    )
-    scene.testbed.run(until=until)
-    return scene.finalize()
+run_recovery = scene_runner(build_recovery)

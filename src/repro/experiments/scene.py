@@ -10,21 +10,19 @@ A :class:`Scene` is the contract between the two: ``build_<name>()``
 performs every construction statement of the original ``run_<name>()``
 in the original order (this is byte-identity-gated by the chaos/recovery
 /crowd benchmarks), and stores a ``finalize`` closure holding everything
-that used to follow ``testbed.run(...)``.  ``run_<name>()`` is then just
-
-    scene = build_<name>(...)
-    scene.testbed.run(until=scene.until)
-    return scene.finalize()
-
-so the monolithic entry points stay bit-for-bit compatible while the
+that used to follow ``testbed.run(...)``.  ``run_<name>()`` is then
+``build_<name>(...).run()``, derived by :func:`scene_runner`, so the
+monolithic entry points stay bit-for-bit compatible while the
 interactive context can drive the middle leg one event at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["Scene"]
+__all__ = ["Scene", "scene_runner"]
 
 
 class Scene:
@@ -90,3 +88,26 @@ class Scene:
         if self.result is None:
             self.result = self._finalize()
         return self.result
+
+    def run(self) -> Tuple[Any, Dict]:
+        """Run the sim to ``until``, then :meth:`finalize`."""
+        self.testbed.run(until=self.until)
+        return self.finalize()
+
+
+def scene_runner(build: Callable[..., Scene]) -> Callable[..., Tuple[Any, Dict]]:
+    """Derive ``run_<name>`` from ``build_<name>``: same parameters, run whole."""
+
+    @functools.wraps(build)
+    def run(*args, **kwargs):
+        return build(*args, **kwargs).run()
+
+    run.__name__ = run.__qualname__ = build.__name__.replace("build_", "run_", 1)
+    run.__doc__ = (
+        f"``{build.__name__}(...).run()``: build the scenario, run it to its "
+        "horizon and finalize; returns ``(figure, payload)``."
+    )
+    run.__signature__ = inspect.signature(build).replace(
+        return_annotation="Tuple[FigureResult, Dict]"
+    )
+    return run

@@ -31,13 +31,8 @@ from .dash import (
     render_dashboard,
 )
 from .diff import DiffResult, diff_metrics, diff_traces, structural_keys
-from .interactive import (
-    SCENARIOS,
-    InteractiveContext,
-    ScenarioInspector,
-    register_scenario,
-    replay,
-)
+from ..scenarios import SCENARIOS, register_scenario
+from .interactive import InteractiveContext, ScenarioInspector, replay
 from .perf import KernelProfiler, to_chrome_profile, to_folded
 from .query import adaptation_chains, chain, dwell_times, timeline
 from .record import ObsError, SpanRecord, TraceRecorder

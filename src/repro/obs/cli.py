@@ -18,9 +18,11 @@ Runs a traced experiment and renders what the recorder captured::
     python -m repro.cli perf fig5 --json        # full profile summary
     python -m repro.cli dash fig5-sweep chaos recovery --out fleet.html
 
-Everything printed is a pure function of ``(experiment, seed)``: traced
-runs are byte-identical to untraced ones, and the trace itself is
-deterministic (see ``docs/observability.md``).
+The experiments are the entries of :data:`repro.scenarios.SCENARIOS`;
+``dash`` runs its Scene entries.  Everything printed is a pure function
+of ``(experiment, seed)``: traced runs are byte-identical to untraced
+ones, and the trace itself is deterministic (see
+``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -31,69 +33,16 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
+from ..scenarios import SCENARIOS, run_scenario, scene_names
 from .diff import diff_metrics, diff_traces, format_key
 from .export import from_jsonl, ordered, summary, to_chrome, to_jsonl
 from .query import adaptation_chains, dwell_times
 from .record import TraceRecorder
 from .usage import UsageAccountant
 
-__all__ = ["obs_main", "TRACEABLE"]
-
-
-def _run_chaos(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.chaos import run_chaos
-
-    run_chaos(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_recovery(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.recovery import run_recovery
-
-    run_recovery(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_crowd(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.crowd import run_crowd
-
-    run_crowd(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig5(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig5 import fig5_database
-
-    fig5_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig5sess(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig5 import run_fig5_session
-
-    run_fig5_session(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig6a(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig6 import fig6a_database
-
-    fig6a_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-def _run_fig6b(seed: int, recorder=None, usage=None, profiler=None) -> None:
-    from ..experiments.fig6 import fig6b_database
-
-    fig6b_database(seed=seed, recorder=recorder, usage=usage, profiler=profiler)
-
-
-#: experiment name -> runner(seed, recorder=None, usage=None, profiler=None).
-TRACEABLE: Dict[str, Callable] = {
-    "chaos": _run_chaos,
-    "recovery": _run_recovery,
-    "crowd": _run_crowd,
-    "fig5": _run_fig5,
-    "fig5sess": _run_fig5sess,
-    "fig6a": _run_fig6a,
-    "fig6b": _run_fig6b,
-}
+__all__ = ["obs_main"]
 
 
 def _record_line(record) -> str:
@@ -340,7 +289,9 @@ def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
         # Share the recorder's registry so usage.* series appear in the
         # metrics snapshot (and therefore in reports and CSV exports).
         usage = UsageAccountant(metrics=recorder.metrics)
-    TRACEABLE[experiment](seed, recorder=recorder, usage=usage, profiler=profiler)
+    run_scenario(
+        experiment, seed, recorder=recorder, usage=usage, profiler=profiler
+    )
     return recorder, usage
 
 
@@ -350,23 +301,14 @@ def _load_side(source: str, seed: int):
     if source.endswith(".jsonl") or path.is_file():
         records = from_jsonl(path.read_text())
         return f"{source}", records, None
-    if source not in TRACEABLE:
+    if source not in SCENARIOS:
         raise SystemExit(
             f"repro diff: {source!r} is neither a trace .jsonl file nor an "
-            f"experiment ({', '.join(sorted(TRACEABLE))})"
+            f"experiment ({', '.join(sorted(SCENARIOS))})"
         )
     recorder, _ = _traced_run(source, seed, with_usage=False)
     return f"{source}@seed={seed}", recorder.records, recorder.metrics.snapshot()
 
-
-#: Scenarios ``repro dash`` can run traced *with a payload* (the figure
-#: experiments that return ``(figure, payload)`` and accept instrumentation).
-_DASH_RUNNERS: Dict[str, str] = {
-    "fig5sess": "repro.experiments.fig5:run_fig5_session",
-    "chaos": "repro.experiments.chaos:run_chaos",
-    "recovery": "repro.experiments.recovery:run_recovery",
-    "crowd": "repro.experiments.crowd:run_crowd",
-}
 
 #: The built-in ``fig5-sweep`` source: a 2x2 (cpu share x fovea size)
 #: grid of Experiment-3 profiling cells run through the exec engine.
@@ -375,15 +317,11 @@ _FIG5_SWEEP_FOVEAS = (80, 160)
 
 
 def _dash_traced_cell(source: str, seed: int):
-    from importlib import import_module
-
     from .dash import dashboard_cell_from_run
 
-    module_name, _, attr = _DASH_RUNNERS[source].partition(":")
-    runner = getattr(import_module(module_name), attr)
     recorder = TraceRecorder()
     usage = UsageAccountant(metrics=recorder.metrics)
-    _fig, payload = runner(seed=seed, recorder=recorder, usage=usage)
+    _fig, payload = run_scenario(source, seed, recorder=recorder, usage=usage)
     return dashboard_cell_from_run(
         f"{source}@seed={seed}", recorder, usage=usage, payload=payload,
         group=source, seed=seed,
@@ -448,7 +386,7 @@ def _dash_main(argv: List[str]) -> int:
         "sources", nargs="+",
         help="traced experiments (%s), 'fig5-sweep' (2x2 grid via the exec "
         "engine), or repro.exec result-store directories"
-        % ", ".join(sorted(_DASH_RUNNERS)),
+        % ", ".join(scene_names()),
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for every run")
     parser.add_argument(
@@ -468,7 +406,7 @@ def _dash_main(argv: List[str]) -> int:
 
     cells: List[dict] = []
     for source in args.sources:
-        if source in _DASH_RUNNERS:
+        if source in scene_names():
             cells.append(_dash_traced_cell(source, args.seed))
         elif source == "fig5-sweep":
             cells.extend(_fig5_sweep_cells(args.seed, args.cache, args.jobs))
@@ -482,7 +420,7 @@ def _dash_main(argv: List[str]) -> int:
         else:
             raise SystemExit(
                 f"repro dash: {source!r} is neither a runnable scenario "
-                f"({', '.join(sorted(_DASH_RUNNERS))}), 'fig5-sweep', nor a "
+                f"({', '.join(scene_names())}), 'fig5-sweep', nor a "
                 "result-store directory"
             )
     title = args.title or (
@@ -516,7 +454,7 @@ def obs_main(argv: List[str]) -> int:
         )
     else:
         parser.add_argument(
-            "experiment", choices=sorted(TRACEABLE), help="experiment to run"
+            "experiment", choices=sorted(SCENARIOS), help="experiment to run"
         )
         parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
@@ -599,7 +537,7 @@ def obs_main(argv: List[str]) -> int:
         usage = UsageAccountant(
             metrics=recorder.metrics, resolution=args.resolution
         )
-        TRACEABLE[args.experiment](args.seed, recorder=recorder, usage=usage)
+        run_scenario(args.experiment, args.seed, recorder=recorder, usage=usage)
         if args.json:
             payload = {
                 "experiment": args.experiment,
@@ -618,7 +556,7 @@ def obs_main(argv: List[str]) -> int:
         # Full fidelity (every step observed): a one-off profile capture
         # wants exact attribution and census, not low overhead.
         profiler = KernelProfiler(full=True)
-        TRACEABLE[args.experiment](args.seed, profiler=profiler)
+        run_scenario(args.experiment, args.seed, profiler=profiler)
         if args.flame:
             text = to_folded(profiler)
         elif args.chrome:
@@ -679,7 +617,7 @@ def obs_main(argv: List[str]) -> int:
         return 0
 
     recorder = TraceRecorder()
-    TRACEABLE[args.experiment](args.seed, recorder=recorder)
+    run_scenario(args.experiment, args.seed, recorder=recorder)
 
     if mode == "metrics":
         fmt = args.format

@@ -8,7 +8,7 @@ a time::
 
     from repro.obs import InteractiveContext
 
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(21.0)                       # just after the CPU drop
     ctx.inspect.monitor()["estimates"]        # what the monitor believes
     ctx.run_until(lambda c: c.switches())     # wait for the re-selection
@@ -42,41 +42,15 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from ..scenarios import resolve, scene_names
 from .record import TraceRecorder
 from .usage import UsageAccountant
 
 __all__ = [
     "InteractiveContext",
     "ScenarioInspector",
-    "SCENARIOS",
-    "register_scenario",
     "replay",
 ]
-
-#: Scenario name -> dotted ``module:callable`` returning a Scene.  The
-#: sweep-style figures (fig3/fig4/fig6/fig7 grids) are *not* steppable —
-#: they run many independent testbeds through the exec engine; drive
-#: those through ``repro dash`` / ``repro sweep`` instead.
-SCENARIOS: Dict[str, str] = {
-    "fig5": "repro.experiments.fig5:build_fig5_session",
-    "chaos": "repro.experiments.chaos:build_chaos",
-    "recovery": "repro.experiments.recovery:build_recovery",
-    "crowd": "repro.experiments.crowd:build_crowd",
-}
-
-
-def register_scenario(name: str, builder: str) -> None:
-    """Register a ``module:callable`` Scene builder under ``name``."""
-    if ":" not in builder:
-        raise ValueError(f"builder must be 'module:callable', got {builder!r}")
-    SCENARIOS[name] = builder
-
-
-def _resolve(ref: str) -> Callable:
-    import importlib
-
-    module_name, _, attr = ref.partition(":")
-    return getattr(importlib.import_module(module_name), attr)
 
 
 class ScenarioInspector:
@@ -293,8 +267,8 @@ class InteractiveContext:
     Parameters
     ----------
     scenario:
-        A name from :data:`SCENARIOS` (``fig5``/``chaos``/``recovery``/
-        ``crowd``), or a Scene-builder callable.
+        A Scene entry of :data:`repro.scenarios.SCENARIOS` (listed by
+        :func:`repro.scenarios.scene_names`), or a Scene-builder callable.
     instrument:
         Attach a :class:`TraceRecorder` + :class:`UsageAccountant` (the
         same pairing ``repro trace``/``repro report`` use).  Both are
@@ -316,12 +290,12 @@ class InteractiveContext:
             builder = scenario
             self.scenario = getattr(scenario, "__name__", "custom")
         else:
-            if scenario not in SCENARIOS:
+            if scenario not in scene_names():
                 raise KeyError(
-                    f"unknown scenario {scenario!r}; registered: "
-                    f"{', '.join(sorted(SCENARIOS))}"
+                    f"{scenario!r} is not a steppable scenario; steppable: "
+                    f"{', '.join(scene_names())}"
                 )
-            builder = _resolve(SCENARIOS[scenario])
+            builder = resolve(scenario)
             self.scenario = scenario
         self.recorder = TraceRecorder() if instrument else None
         self.usage = (

@@ -118,11 +118,11 @@ def test_load_store_cells_reads_sweep_results(tmp_path):
 
 
 def test_cell_from_context_labels_scenario_and_embeds_live_state():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(5.0)
     cell = dashboard_cell_from_context(ctx)
-    assert cell["label"].startswith("fig5@seed=0 t=")
-    assert cell["group"] == "fig5" and cell["records"]
-    assert cell["inspect"]["scenario"] == "fig5"
+    assert cell["label"].startswith("fig5sess@seed=0 t=")
+    assert cell["group"] == "fig5sess" and cell["records"]
+    assert cell["inspect"]["scenario"] == "fig5sess"
     html = render_dashboard([cell])
     assert "Live state" in html and "Adaptation timeline" in html

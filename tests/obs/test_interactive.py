@@ -56,7 +56,7 @@ def test_fig5_stepped_inspection_byte_identical():
     from repro.experiments.fig5 import run_fig5_session
 
     ref = _reference(run_fig5_session, seed=0)
-    ctx, got = _stepped_with_inspection("fig5", seed=0)
+    ctx, got = _stepped_with_inspection("fig5sess", seed=0)
     assert got == ref
     assert ctx.steps > 0 and ctx.scene.finalized
 
@@ -116,7 +116,7 @@ def test_interleaved_inspection_leaves_trace_unchanged():
             pending_seen.append(stale != rates)
 
     def run(inspect):
-        ctx = InteractiveContext("fig5", seed=1)
+        ctx = InteractiveContext("fig5sess", seed=1)
         share = ctx.scene.testbed.hosts["client"].cpu.share
         for i in itertools.count(1):
             ctx.run_until(i * 2.5)
@@ -136,7 +136,7 @@ def test_interleaved_inspection_leaves_trace_unchanged():
 
 
 def test_run_until_predicate_pauses_at_first_switch():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(lambda c: len(c.switches()) >= 1)
     assert len(ctx.switches()) == 1
     assert not ctx.done
@@ -148,7 +148,7 @@ def test_run_until_predicate_pauses_at_first_switch():
 
 
 def test_interventions_recorded_and_replayed_byte_identically():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(15.0)
     ctx.perturb("client", cpu_share=0.5, net_bw=10e6)
     ctx.run_until(40.0)
@@ -167,13 +167,13 @@ def test_interventions_recorded_and_replayed_byte_identically():
     names = [r.name for r in ctx.recorder.records if r.cat == "interactive"]
     assert names == ["interactive.perturb", "interactive.inject"]
 
-    replayed = replay("fig5", 0, script)
+    replayed = replay("fig5sess", 0, script)
     _fig2, payload2 = replayed.finish()
     assert _signature(replayed.recorder, replayed.usage, payload2) == \
         _signature(ctx.recorder, ctx.usage, payload)
 
     # And the intervened run genuinely differs from the clean one.
-    clean = InteractiveContext("fig5", seed=0)
+    clean = InteractiveContext("fig5sess", seed=0)
     _fig3, payload3 = clean.finish()
     assert json.dumps(payload3, sort_keys=True) != json.dumps(
         payload, sort_keys=True
@@ -181,7 +181,7 @@ def test_interventions_recorded_and_replayed_byte_identically():
 
 
 def test_force_config_and_resume_normal():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(10.0)
     ctx.force_config({"dR": 160, "c": "lzw", "l": 4}, reason="operator-pin")
     assert ctx.inspect.controller()["pinned"]
@@ -194,7 +194,7 @@ def test_force_config_and_resume_normal():
 
 
 def test_fault_injection_into_faultfree_scenario_shows_in_inspector():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     assert ctx.scene.injector is None and ctx.inspect.faults() is None
     ctx.run_until(10.0)
     ctx.inject(
@@ -210,7 +210,7 @@ def test_fault_injection_into_faultfree_scenario_shows_in_inspector():
 
 def test_snapshot_html_midflight_is_passive():
     def run(render):
-        ctx = InteractiveContext("fig5", seed=0)
+        ctx = InteractiveContext("fig5sess", seed=0)
         ctx.run_until(30.0)
         html = ctx.snapshot_html() if render else None
         _fig, payload = ctx.finish()
@@ -225,7 +225,7 @@ def test_snapshot_html_midflight_is_passive():
 
 
 def test_finish_is_idempotent_and_guards_further_driving():
-    ctx = InteractiveContext("fig5", seed=0)
+    ctx = InteractiveContext("fig5sess", seed=0)
     result = ctx.finish()
     assert ctx.finish() is result
     with pytest.raises(RuntimeError):
@@ -255,7 +255,7 @@ def test_scenario_registry_and_errors():
 
 
 def test_uninstrumented_context_still_steps_and_finishes():
-    ctx = InteractiveContext("fig5", seed=0, instrument=False)
+    ctx = InteractiveContext("fig5sess", seed=0, instrument=False)
     assert ctx.recorder is None and ctx.usage is None
     ctx.run_until(lambda c: len(c.switches()) >= 1)
     assert ctx.inspect.usage() is None
