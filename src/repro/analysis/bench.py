@@ -16,6 +16,9 @@ Comparison rules, per field:
   matters: a timing (key ending ``_s`` or ``_ns``, or containing
   ``overhead``) only regresses when it *grows* past the band; a throughput-like value
   (``speedup``, ``cache_hit_rate``) only regresses when it *shrinks*.
+  An overhead (``t_variant / t_base - 1``, often near or below zero) is
+  banded as the relative change of the variant's cost,
+  ``(1 + fresh) / (1 + baseline) - 1``.
   Movement past the band in the good direction is an ``improved`` note,
   not a failure.
 * **info** — machine-dependent fields (``cpu_count``,
@@ -114,8 +117,13 @@ def compare_records(
         elif kind == "exact":
             row["status"] = "ok" if f == b else "regression"
         else:  # band
-            base = abs(float(b))
-            delta = float(f) - float(b)
+            f, b = float(f), float(b)
+            if "overhead" in key:
+                # An overhead is t_variant / t_base - 1 and may sit near or
+                # below zero: band the variant's cost, (1 + f) / (1 + b).
+                f, b = 1.0 + f, 1.0 + b
+            base = abs(b)
+            delta = f - b
             rel = delta / base if base > 1e-12 else (0.0 if delta == 0 else float("inf"))
             row["delta_rel"] = round(rel, 4) if rel != float("inf") else "inf"
             worse = rel > tolerance if _is_timing(key) else rel < -tolerance

@@ -212,8 +212,7 @@ def _limiter_cell(payload: dict, seed: int) -> float:
         Configuration({"scale": 1.0}),
         limits={"node": ResourceLimits(cpu_share=payload["share"])},
     )
-    tb.run(until=3600)
-    tb.shutdown()
+    tb.run_until_finished([rt], until=3600)
     return rt.qos.get("elapsed")
 
 
@@ -260,8 +259,7 @@ def isolation_ablation(n_sandboxes: int = 3, seed: int = 0) -> Dict[str, float]:
         )
         for _ in range(n_sandboxes)
     ]
-    tb.run(until=3600)
-    tb.shutdown()
+    tb.run_until_finished(runtimes, until=3600)
     expected = 10.0 / share
     deviations = [
         abs(rt.qos.get("elapsed") - expected) / expected for rt in runtimes

@@ -80,7 +80,7 @@ def _fig3b_cell(payload: dict, seed: int) -> float:
         # Baseline: physical, unloaded machine (no daemons, no sandbox).
         tb = Testbed(host_specs=app.env.host_specs())
         rt = app.instantiate(tb, Configuration({"scale": 1.0}))
-        tb.run(until=3600)
+        tb.run_until_finished([rt], until=3600)
         return rt.qos.get("elapsed")
     tb = Testbed(
         host_specs=app.env.host_specs(),
@@ -93,8 +93,8 @@ def _fig3b_cell(payload: dict, seed: int) -> float:
         Configuration({"scale": 1.0}),
         limits={"node": ResourceLimits(cpu_share=share)},
     )
-    tb.run(until=3600)
-    tb.shutdown()
+    # The daemons stop when the app does: their load after it is unmeasured.
+    tb.run_until_finished([rt], until=3600)
     return rt.qos.get("elapsed")
 
 

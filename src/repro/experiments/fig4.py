@@ -37,7 +37,7 @@ def _fig4a_cell(payload: dict, seed: int) -> dict:
     app = make_toy_app(cpu_speed=machine.clock_mhz)
     tb = Testbed(host_specs=app.env.host_specs(), seed=seed)
     rt = app.instantiate(tb, Configuration({"scale": 1.0}))
-    tb.run(until=3600)
+    tb.run_until_finished([rt], until=3600)
     physical = rt.qos.get("elapsed")
 
     app450 = make_toy_app(cpu_speed=PII_450.clock_mhz)
@@ -50,8 +50,7 @@ def _fig4a_cell(payload: dict, seed: int) -> dict:
         Configuration({"scale": 1.0}),
         limits={"node": ResourceLimits(cpu_share=share)},
     )
-    tb450.run(until=3600)
-    tb450.shutdown()
+    tb450.run_until_finished([rt450], until=3600)
     return {"physical": physical, "emulated": rt450.qos.get("elapsed")}
 
 
@@ -108,8 +107,7 @@ def _viz_run(
     rt = app.instantiate(
         tb, Configuration({"dR": 320, "c": "lzw", "l": 4}), limits=limits, workload=wl
     )
-    tb.run(until=10000)
-    tb.shutdown()
+    tb.run_until_finished([rt], until=10000)
     return rt.qos.get("transmit_time")
 
 

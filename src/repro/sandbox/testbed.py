@@ -12,7 +12,7 @@ Each profiling run uses a *fresh* testbed so measurements are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..cluster import BackgroundLoad, Host, Network
 from ..sim import Simulator, stream
@@ -54,7 +54,15 @@ class DaemonSpec:
 
 
 class Testbed:
-    """One controlled execution environment instance."""
+    """One controlled execution environment instance.
+
+    :meth:`run` advances the simulator to a horizon and :meth:`shutdown`
+    stops the daemons and sandbox controllers.  A measurement run uses
+    :meth:`run_until_finished` instead: the testbed shuts down the instant
+    its last application finishes, so background daemons stop drawing
+    bursts on an idle host, and an application that misses the horizon
+    raises instead of leaving its metrics unset.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
@@ -115,7 +123,36 @@ class Testbed:
     def run(self, until: Optional[float] = None) -> None:
         self.sim.run(until=until)
 
+    def run_until_finished(self, runtimes: Sequence, until: float) -> None:
+        """Run every ``AppRuntime`` in ``runtimes`` to completion, then stop.
+
+        The last ``rt.finished`` to fire calls :meth:`shutdown` at that
+        instant: daemons draw no more bursts and quantum controllers exit
+        at their next tick, so the schedule drains within a few events and
+        ``sim.now`` still ends at ``until``.  Raises ``RuntimeError`` if
+        an application has not finished by ``until``.
+        """
+        left = len(runtimes)
+
+        def one_finished(_event) -> None:
+            nonlocal left
+            left -= 1
+            if left == 0:
+                self.shutdown()
+
+        for rt in runtimes:
+            rt.finished.callbacks.append(one_finished)
+        self.run(until=until)
+        self.shutdown()
+        for rt in runtimes:
+            if not rt.finished.triggered:
+                raise RuntimeError(
+                    f"testbed run did not finish within {until}s: "
+                    f"{rt.name} @ {rt.config.label()}"
+                )
+
     def shutdown(self) -> None:
+        """Stop the daemons and close the sandboxes; calling it again is a no-op."""
         for daemon in self.daemons:
             daemon.stop()
         for sb in self.sandboxes.values():

@@ -24,6 +24,7 @@ class AppRuntime:
 
     def __init__(
         self,
+        name: str,
         sim: Simulator,
         sandboxes: Dict[str, Sandbox],
         controls: ControlBox,
@@ -31,6 +32,8 @@ class AppRuntime:
         workload: Any = None,
         seed: int = 0,
     ):
+        #: Name of the :class:`TunableApp` this instance runs.
+        self.name = name
         self.sim = sim
         self.sandboxes = sandboxes
         self.controls = controls
@@ -155,6 +158,7 @@ class TunableApp:
         controls = ControlBox(config, self.transitions)
         qos = QoSRecorder(self.metrics)
         rt = AppRuntime(
+            name=self.name,
             sim=testbed.sim,
             sandboxes=sandboxes,
             controls=controls,

@@ -54,6 +54,33 @@ def test_ns_per_op_fields_are_timings():
     assert rows["spawn_exit_ns"]["status"] == "improved"
 
 
+@pytest.mark.parametrize(
+    "baseline, fresh, status",
+    [
+        (0.0023, 0.026, "ok"),          # +2.4 % cost, not +1030 %
+        (0.0023, 0.9, "regression"),    # the variant got 1.9x slower
+        (-0.017, 0.02, "ok"),           # a negative baseline bands sensibly
+        (1.5, 0.1, "improved"),         # cost fell from 2.5x to 1.1x
+    ],
+)
+def test_overhead_fields_band_the_variant_cost(baseline, fresh, status):
+    rows = by_field(compare_records(
+        "b", {"overhead_profiled": fresh}, {"overhead_profiled": baseline}))
+    assert rows["overhead_profiled"]["status"] == status
+    expected = (1 + fresh) / (1 + baseline) - 1
+    assert rows["overhead_profiled"]["delta_rel"] == round(expected, 4)
+
+
+def test_non_overhead_timings_band_by_plain_relative_change():
+    base = {"wall_time_s": 0.0023, "spawn_exit_ns": 1000.0}
+    rows = by_field(compare_records(
+        "b", {"wall_time_s": 0.026, "spawn_exit_ns": 1400.0}, base))
+    assert rows["wall_time_s"]["status"] == "regression"
+    assert rows["wall_time_s"]["delta_rel"] == round((0.026 - 0.0023) / 0.0023, 4)
+    assert rows["spawn_exit_ns"]["status"] == "ok"
+    assert rows["spawn_exit_ns"]["delta_rel"] == 0.4
+
+
 def test_missing_field_is_a_structural_regression():
     fresh = {k: v for k, v in BASELINE.items() if k != "cells"}
     rows = by_field(compare_records("b", fresh, BASELINE))
