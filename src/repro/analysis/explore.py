@@ -527,6 +527,7 @@ def _scene_payload(build: Callable, seed: int, **kwargs: Any) -> Dict[str, Any]:
 
 
 def _first_line(fn: Callable) -> str:
+    fn = getattr(fn, "func", fn)  # a functools.partial documents its target
     return (fn.__doc__ or "").strip().split("\n")[0]
 
 

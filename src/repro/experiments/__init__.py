@@ -23,8 +23,6 @@ from .recovery import (
 )
 from .fig7 import (
     AdaptiveRun,
-    ResourceVariation,
-    run_adaptive_viz,
     run_experiment1,
     run_experiment2,
     run_experiment3,
@@ -50,9 +48,7 @@ __all__ = [
     "run_experiment1",
     "run_experiment2",
     "run_experiment3",
-    "run_adaptive_viz",
     "AdaptiveRun",
-    "ResourceVariation",
     "run_chaos",
     "DEFAULT_FAULT_SPEC",
     "DEFAULT_VARIATIONS",

@@ -135,9 +135,9 @@ def hysteresis_ablation(
     reads right after a rate change, while the backlog accrued at the old
     rate drains.  Returns switch counts for both settings.
     """
-    from ..apps.visualization import VizCosts
-    from .fig7 import ResourceVariation, run_adaptive_viz
+    from ..apps.visualization import VizCosts, VizWorkload
     from ..profiling import Record
+    from .common import build_adaptive_viz
 
     def crossover_db() -> PerformanceDatabase:
         db = PerformanceDatabase(
@@ -172,7 +172,7 @@ def hysteresis_ablation(
     t = 10.0
     for i in range(oscillations):
         bw = 290e3 if i % 2 == 0 else 500e3
-        variations.append(ResourceVariation(t, _RL(net_bw=bw)))
+        variations.append((t, _RL(net_bw=bw)))
         t += 10.0
 
     results: Dict[str, float] = {}
@@ -180,26 +180,24 @@ def hysteresis_ablation(
         ("guarded", optimality_slack, monitor_hysteresis),
         ("naive", 0.0, 0.0),
     ):
-        run = run_adaptive_viz(
-            db,
-            pref,
-            initial_point,
+        _fig, payload = build_adaptive_viz(
+            f"a3-{label}", seed, 10_000.0, db, pref, initial_point,
             {"client": _RL(net_bw=420e3)},
-            tuple(variations),
-            VizCosts(display_cost=3e-5),
-            n_images=10,
-            label=label,
-            seed=seed,
-            scheduler_mode="interpolate",
+            lambda scene: VizWorkload(
+                n_images=10, costs=VizCosts(display_cost=3e-5), seed=seed
+            ),
+            lambda scene, payload: (None, payload),
+            variations=variations,
+            exchanges=False,
             monitor_kwargs={
                 "window": 2.0,
                 "cooldown": 1.0,
                 "hysteresis": hyst,
             },
             optimality_slack=slack,
-        )
-        results[f"{label}_switches"] = float(len(run.switches))
-        results[f"{label}_total_time"] = run.total_time
+        ).run()
+        results[f"{label}_switches"] = float(len(payload["switches"]))
+        results[f"{label}_total_time"] = payload["total_time"]
     return results
 
 

@@ -16,17 +16,15 @@ byte-identical trajectories.  Replay a run by passing its recorded
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
-from ..apps.visualization import VizWorkload, make_viz_app
+from ..apps.visualization import VizWorkload
 from ..faults import FaultInjector, FaultPlan
-from ..sandbox import ResourceLimits, Testbed
+from ..sandbox import ResourceLimits
 from .common import (
     FigureResult,
-    attach_instrumentation,
-    build_viz_controller,
-    detach_instrumentation,
-    start_estimate_exchanges,
+    build_adaptive_viz,
     viz_initial_point,
     viz_preference,
 )
@@ -75,11 +73,12 @@ def build_chaos(
 ) -> Scene:
     """Construct the adaptation run through crash/partition/loss faults, unrun.
 
-    Performs every construction statement of :func:`run_chaos` in the
-    original order (this order is byte-identity-gated by ``bench_chaos``)
-    and returns a :class:`~repro.experiments.scene.Scene` whose
-    ``finalize()`` produces the figure + payload once the sim has been
-    driven to ``until``.
+    Builds through :func:`~repro.experiments.common.build_adaptive_viz`,
+    adding the optional supervisor and the fault injector before the
+    workload and the server's supervision before the controller attaches
+    (construction order is byte-identity-gated by ``bench_chaos``).  The
+    Scene's ``finalize()`` produces the figure + payload once the sim has
+    been driven to ``until``.
 
     With ``detect_races`` the run is instrumented by
     :class:`repro.analysis.RaceDetector`: every host mailbox and the
@@ -120,154 +119,63 @@ def build_chaos(
     plan = FaultPlan.from_spec(
         DEFAULT_FAULT_SPEC if fault_spec is None else fault_spec
     )
-    preference = viz_preference()
-    initial_point = viz_initial_point()
 
-    app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
-    config = controller.select_initial(initial_point).config
+    def workload(scene):
+        if supervise:
+            from ..recovery import Supervisor
 
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
-    )
-    supervisor = None
-    if supervise:
-        from ..recovery import Supervisor
+            scene.supervisor = Supervisor(scene.sim, seed=seed).attach()
+        scene.injector = FaultInjector.attach(scene.testbed, plan, seed=seed)
+        return VizWorkload(n_images=n_images, costs=EXP1_COSTS, seed=seed)
 
-        supervisor = Supervisor(testbed.sim, seed=seed).attach()
-    injector = FaultInjector.attach(testbed, plan, seed=seed)
-    workload = VizWorkload(n_images=n_images, costs=EXP1_COSTS, seed=seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits={"client": ResourceLimits(net_bw=500e3)},
-        workload=workload,
-    )
-    if supervisor is not None:
-        # Shut down before the server's normal post-CloseConnection exit
-        # lands, so teardown is never mistaken for a death.
-        if rt.finished.callbacks is not None:
-            rt.finished.callbacks.append(lambda _e: supervisor.shutdown())
+    def supervise_server(scene):
+        rt = scene.rt
 
         def respawn_server(state):
             from ..apps.visualization.server import server_process
 
             return rt.sim.process(
-                server_process(rt, workload, rt.app_model), name="viz-server"
+                server_process(rt, scene.workload, rt.app_model),
+                name="viz-server",
             )
 
-        supervisor.supervise(
+        scene.supervisor.supervise(
             "viz-server", respawn_server, processes=[rt.processes["viz-server"]]
         )
-    controller.attach(rt)
 
-    # Estimate exchange in both directions; the client side feeds the
-    # controller's watchdog with server heartbeats.
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
-
-    detector = None
-    if detect_races:
-        from ..analysis.races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
-        for label, exchange in (("client", client_ex), ("server", server_ex)):
-            detector.watch_mapping(
-                exchange, "remote_estimates", f"{label}.remote_estimates"
-            )
-            detector.watch_mapping(
-                exchange, "peer_last_seen", f"{label}.peer_last_seen"
-            )
-
-    # Hook order: the race detector refuses to attach over an existing
-    # step_hook, so it goes first; the accountant and the recorder each
-    # chain whatever they find, recorder last (attach_instrumentation
-    # keeps that canonical order).
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
-
-    def vary():
-        for at, net_bw in variations:
-            yield testbed.sim.timeout(at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(ResourceLimits(net_bw=net_bw))
-
-    if variations:
-        testbed.sim.process(vary())
-
-    def _finalize():
-        testbed.shutdown()
-        if not rt.finished.triggered:
-            raise RuntimeError(f"chaos run did not finish by t={until}")
-        return _summarize_chaos(
-            plan=plan, seed=seed, n_images=n_images, variations=variations,
-            injector=injector, controller=controller, rt=rt,
-            workload=workload, testbed=testbed,
-            client_ex=client_ex, server_ex=server_ex, detector=detector,
-            usage=usage, recorder=recorder, profiler=profiler,
-        )
-
-    return Scene(
-        name="chaos", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        injector=injector, supervisor=supervisor,
-        client_exchange=client_ex, server_exchange=server_ex,
+    return build_adaptive_viz(
+        "chaos", seed, until, db, viz_preference(), viz_initial_point(),
+        {"client": ResourceLimits(net_bw=500e3)}, workload,
+        functools.partial(_summarize_chaos, plan, n_images, variations),
+        variations=[(at, ResourceLimits(net_bw=bw)) for at, bw in variations],
+        on_runtime=supervise_server if supervise else None,
+        tiebreak=tiebreak, detect_races=detect_races,
         recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_chaos(
-    plan, seed, n_images, variations, injector, controller, rt, workload,
-    testbed, client_ex, server_ex, detector, usage, recorder, profiler,
+    plan, n_images, variations, scene, payload
 ) -> Tuple[FigureResult, Dict]:
-    payload = {
-        "experiment": "chaos",
-        "seed": seed,
-        "n_images": n_images,
-        "fault_spec": plan.to_spec(),
-        "variations": [[at, bw] for at, bw in variations],
-        "injections": injector.log,
-        "events": [
-            {
-                "t": e.time,
-                "kind": e.kind,
-                "config": e.config.label() if e.config is not None else None,
-            }
-            for e in controller.events
-        ],
-        "switches": [
-            {"t": t, "from": old.label(), "to": new.label()}
-            for t, old, new in rt.controls.history
-        ],
-        "final_config": rt.controls.current.label(),
-        "qos": rt.qos.snapshot(),
-        "image_times": [[t, d] for t, d in workload.image_times],
-        "network": {
-            "delivered": testbed.network.messages_delivered,
-            "lost": testbed.network.messages_lost,
-            "delayed": testbed.network.messages_delayed,
-            "duplicated": testbed.network.messages_duplicated,
-            "parked": testbed.network.messages_parked_total,
-        },
-        "exchange": {
-            "client_updates_received": client_ex.updates_received,
-            "server_updates_received": server_ex.updates_received,
-            "client_expired": client_ex.expired,
-            "injector_dropped": injector.dropped,
-            "injector_delayed": injector.delayed,
-        },
-        "lost_peers_at_end": sorted(controller.lost_peers),
-        "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
-    }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+    injector, network = scene.injector, scene.testbed.network
+    payload["network"].update(
+        delayed=network.messages_delayed,
+        duplicated=network.messages_duplicated,
+    )
+    payload["exchange"].update(
+        client_expired=scene.client_exchange.expired,
+        injector_dropped=injector.dropped,
+        injector_delayed=injector.delayed,
+    )
+    payload.update(
+        experiment="chaos",
+        seed=scene.seed,
+        n_images=n_images,
+        fault_spec=plan.to_spec(),
+        variations=[[at, bw] for at, bw in variations],
+        injections=injector.log,
+        lost_peers_at_end=sorted(scene.controller.lost_peers),
+    )
 
     result = FigureResult(
         figure="Chaos",
@@ -276,7 +184,7 @@ def _summarize_chaos(
         ylabel="image transmission time (s)",
     )
     series = result.new_series("adaptive under faults")
-    for t, duration in workload.image_times:
+    for t, duration in scene.workload.image_times:
         series.add(t, duration)
     for entry in injector.log:
         what = entry.get("host") or entry.get("between") or entry.get("groups")
@@ -285,7 +193,7 @@ def _summarize_chaos(
         result.note(
             f"t={switch['t']:.1f}s: switched {switch['from']} -> {switch['to']}"
         )
-    kinds = [e.kind for e in controller.events]
+    kinds = [e.kind for e in scene.controller.events]
     for kind in ("peer-lost", "peer-recovered", "steering-timeout", "degraded"):
         result.note(f"{kind} events: {kinds.count(kind)}")
     result.note(f"final config: {payload['final_config']}")

@@ -16,9 +16,10 @@ serial path byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import sweep_cells
+from .scene import Scene
 
 __all__ = [
     "Series",
@@ -28,8 +29,7 @@ __all__ = [
     "sweep_cells",
     "viz_preference",
     "viz_initial_point",
-    "build_viz_controller",
-    "start_estimate_exchanges",
+    "build_adaptive_viz",
     "attach_instrumentation",
     "detach_instrumentation",
     "closed_loop_viz_user",
@@ -162,12 +162,12 @@ def ascii_plot(result: FigureResult, width: int = 72, height: int = 16) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Shared scenario factories (used by chaos, recovery, and crowd experiments).
+# The adaptive visualization session: one skeleton behind every Scene that
+# runs the adaptation runtime (fig5sess, chaos, recovery, crowd, Fig 7).
 #
-# These used to be copy-pasted per experiment; they are centralized here so
-# coroutine and crowd scenarios build the *same* adaptation runtime.  Keep
-# construction order and RNG stream names stable: the chaos/recovery
-# benchmark payloads are byte-identity-gated.
+# Keep construction order and RNG stream names stable: order decides
+# same-instant FIFO ties, and the chaos/recovery/crowd payloads, the suite
+# goldens and the Fig 7 artifacts are byte-identity-gated.
 # ---------------------------------------------------------------------------
 
 
@@ -185,48 +185,213 @@ def viz_initial_point():
     return ResourcePoint({"client.cpu": 1.0, "client.network": 500e3})
 
 
-def build_viz_controller(app, db, preference, recorder=None):
-    """Scheduler + adaptation controller with the experiments' tuning.
+#: Every session's monitor tuning unless a caller overrides it (A3 does).
+_MONITOR = {"window": 2.0, "cooldown": 5.0, "period": 0.01}
+#: The fault-tolerant controller of every session with estimate exchanges.
+_RESILIENT = {
+    "steering_kwargs": {"ack_timeout": 2.0, "max_retries": 2, "backoff": 2.0},
+    "watchdog_period": 0.5,
+}
 
-    Returns ``(scheduler, controller)``; the monitor window/cooldown and
-    steering retry policy are the values every experiment has used since
-    the chaos run was first benchmarked — change them there and here
-    together or replay byte-identity breaks.
+
+def build_adaptive_viz(
+    name: str,
+    seed: int,
+    until: float,
+    db,
+    preference,
+    initial_point,
+    limits,
+    workload: Callable[[Scene], Any],
+    summarize: Callable[[Scene, Dict], Tuple[Any, Dict]],
+    variations: Sequence[Tuple[float, Any]] = (),
+    config=None,
+    exchanges: bool = True,
+    must_finish: bool = True,
+    monitor_kwargs: Optional[dict] = None,
+    optimality_slack: float = 0.1,
+    on_runtime: Optional[Callable[[Scene], None]] = None,
+    on_session: Optional[Callable[[Scene], None]] = None,
+    watch: Optional[Callable[[Scene, Any], None]] = None,
+    tiebreak=None,
+    detect_races: bool = False,
+    recorder=None,
+    usage=None,
+    profiler=None,
+) -> Scene:
+    """Construct one adaptive visualization session as an unrun Scene.
+
+    The skeleton runs in one fixed order, because construction order
+    decides same-instant FIFO ties:
+
+    1. the adaptation controller over ``db`` and ``preference``, and its
+       initial configuration at ``initial_point`` (a static run passes
+       ``config`` instead and gets no controller);
+    2. ``Testbed(seed, tiebreak)``;
+    3. ``workload(scene)``, which returns the ``VizWorkload`` after
+       building whatever must exist before it (a supervisor, an injector);
+    4. ``app.instantiate`` under ``limits``; a supervisor the workload
+       hook set on the scene shuts down as the app finishes; then
+       ``on_runtime(scene)``;
+    5. ``controller.attach``; with ``exchanges``, the estimate exchange in
+       both directions and the controller's peer watchdog;
+    6. ``on_session(scene)``: the scenario's own services and load;
+    7. with ``detect_races``, a race detector on every host mailbox, both
+       exchanges' tables and whatever ``watch(scene, detector)`` adds;
+    8. the passive instruments, then a process that sets the client's
+       limits at each ``(at, ResourceLimits)`` of ``variations``.
+
+    ``finalize`` shuts the testbed down, raises if ``must_finish`` and the
+    app has not finished, and passes the common payload (events, switches,
+    final config, QoS, image times, network and exchange counters) to
+    ``summarize(scene, payload)``, which returns ``(figure, payload)``.
+    The race report joins the payload, then the instruments detach.
+
+    With exchanges the controller is the fault-tolerant one (steering ack
+    timeout with retries, 0.5 s watchdog); without them it is the paper's
+    plain runtime, as in Fig 7.
     """
-    from ..runtime import AdaptationController, ResourceScheduler
+    from ..apps.visualization import make_viz_app
+    from ..runtime import (
+        AdaptationController,
+        MonitorExchange,
+        MonitoringAgent,
+        ResourceScheduler,
+    )
+    from ..sandbox import Testbed
     from ..tunable import Preprocessor
 
-    scheduler = ResourceScheduler(db, preference)
-    controller = AdaptationController(
-        scheduler,
-        monitoring_plan=Preprocessor(app).monitoring_plan(),
-        monitor_kwargs={"window": 2.0, "cooldown": 5.0, "period": 0.01},
-        steering_kwargs={"ack_timeout": 2.0, "max_retries": 2, "backoff": 2.0},
-        watchdog_period=0.5,
-        recorder=recorder,
+    app = make_viz_app()
+    controller = None
+    if config is None:
+        controller = AdaptationController(
+            ResourceScheduler(db, preference, optimality_slack=optimality_slack),
+            monitoring_plan=Preprocessor(app).monitoring_plan(),
+            monitor_kwargs=monitor_kwargs or _MONITOR,
+            recorder=recorder,
+            **(_RESILIENT if exchanges else {}),
+        )
+        config = controller.select_initial(initial_point).config
+    testbed = Testbed(
+        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
+        seed=seed, tiebreak=tiebreak,
     )
-    return scheduler, controller
+    detector = None
+
+    def _finalize():
+        testbed.shutdown()
+        if must_finish and not scene.rt.finished.triggered:
+            raise RuntimeError(f"{name} run did not finish by t={until}")
+        figure, payload = summarize(scene, _session_payload(scene))
+        if detector is not None:
+            payload["races"] = [r.to_dict() for r in detector.finish()]
+            detector.detach()
+        detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+        return figure, payload
+
+    scene = Scene(
+        name=name, seed=seed, until=until, testbed=testbed,
+        finalize=_finalize, controller=controller, config=config,
+        recorder=recorder, usage=usage, profiler=profiler,
+    )
+    scene.workload = workload(scene)
+    scene.rt = rt = app.instantiate(
+        testbed, config, limits=limits, workload=scene.workload
+    )
+    if scene.supervisor is not None and rt.finished.callbacks is not None:
+        # Shut down before the server's normal post-CloseConnection exit
+        # lands, so teardown is never mistaken for a death.
+        rt.finished.callbacks.append(lambda _e: scene.supervisor.shutdown())
+    if on_runtime is not None:
+        on_runtime(scene)
+    if controller is not None:
+        controller.attach(rt)
+    if exchanges:
+        server_agent = MonitoringAgent(
+            rt, watch=["server.cpu"], period=0.05
+        ).start()
+        scene.client_exchange = MonitorExchange(
+            rt, controller.monitor, "client", ["server"],
+            stale_after=2.0, heartbeat_every=0.5,
+        ).start()
+        scene.server_exchange = MonitorExchange(
+            rt, server_agent, "server", ["client"],
+            stale_after=2.0, heartbeat_every=0.5,
+        ).start()
+        controller.start_watchdog(scene.client_exchange)
+    if on_session is not None:
+        on_session(scene)
+
+    if detect_races:
+        from ..analysis.races import RaceDetector, watch as watch_host
+
+        detector = RaceDetector(testbed.sim).attach()
+        for host_name in sorted(testbed.hosts):
+            watch_host(detector, testbed.hosts[host_name])
+        if exchanges:
+            for label, exchange in (
+                ("client", scene.client_exchange),
+                ("server", scene.server_exchange),
+            ):
+                detector.watch_mapping(
+                    exchange, "remote_estimates", f"{label}.remote_estimates"
+                )
+                detector.watch_mapping(
+                    exchange, "peer_last_seen", f"{label}.peer_last_seen"
+                )
+        if watch is not None:
+            watch(scene, detector)
+
+    # The race detector refuses to attach over an existing step_hook, so it
+    # goes first; the accountant and the recorder chain whatever they find.
+    attach_instrumentation(
+        testbed.sim, testbed, config,
+        usage=usage, recorder=recorder, profiler=profiler,
+    )
+
+    def vary():
+        for at, client_limits in variations:
+            yield testbed.sim.timeout(at - testbed.sim.now)
+            rt.sandboxes["client"].set_limits(client_limits)
+
+    if variations:
+        testbed.sim.process(vary())
+    return scene
 
 
-def start_estimate_exchanges(rt, controller):
-    """Bidirectional estimate exchange + controller watchdog.
-
-    Returns ``(server_agent, client_ex, server_ex)`` — the server-side
-    monitoring agent and both exchange endpoints, already started.
-    """
-    from ..runtime import MonitorExchange, MonitoringAgent
-
-    server_agent = MonitoringAgent(rt, watch=["server.cpu"], period=0.05).start()
-    client_ex = MonitorExchange(
-        rt, controller.monitor, "client", ["server"],
-        stale_after=2.0, heartbeat_every=0.5,
-    ).start()
-    server_ex = MonitorExchange(
-        rt, server_agent, "server", ["client"],
-        stale_after=2.0, heartbeat_every=0.5,
-    ).start()
-    controller.start_watchdog(client_ex)
-    return server_agent, client_ex, server_ex
+def _session_payload(scene: Scene) -> Dict:
+    """The payload keys adaptive sessions share; ``summarize`` edits them."""
+    rt, workload, network = scene.rt, scene.workload, scene.testbed.network
+    events = scene.controller.events if scene.controller is not None else []
+    payload: Dict = {
+        "events": [
+            {
+                "t": e.time,
+                "kind": e.kind,
+                "config": e.config.label() if e.config is not None else None,
+            }
+            for e in events
+        ],
+        "switches": [
+            {"t": t, "from": old.label(), "to": new.label()}
+            for t, old, new in rt.controls.history
+        ],
+        "final_config": rt.controls.current.label(),
+        "qos": rt.qos.snapshot(),
+        "image_times": [[t, d] for t, d in workload.image_times],
+        "network": {
+            "delivered": network.messages_delivered,
+            "lost": network.messages_lost,
+            "parked": network.messages_parked_total,
+        },
+        "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
+    }
+    if scene.client_exchange is not None:
+        payload["exchange"] = {
+            "client_updates_received": scene.client_exchange.updates_received,
+            "server_updates_received": scene.server_exchange.updates_received,
+        }
+    return payload
 
 
 def attach_instrumentation(sim, testbed, config, usage=None, recorder=None,
@@ -234,8 +399,7 @@ def attach_instrumentation(sim, testbed, config, usage=None, recorder=None,
     """Attach passive observers in the canonical order.
 
     Usage accounting chains the step hook first, the recorder binds last,
-    and the profiler hangs off ``sim.perf`` independently — the order every
-    benchmarked experiment uses (see the chaos run's hook-order comment).
+    and the profiler hangs off ``sim.perf`` independently.
     """
     if usage is not None:
         usage.attach(sim)

@@ -28,9 +28,10 @@ asserts it at 1M users.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..apps.visualization import VizWorkload, make_viz_app
+from ..apps.visualization import VizWorkload
 from ..apps.visualization.server import SERVER_HOST
 from ..crowd import (
     ClosedLoop,
@@ -42,15 +43,12 @@ from ..crowd import (
     ServiceClass,
 )
 from ..recovery import BrownoutController, OverloadGuard, OverloadPolicy
-from ..sandbox import ResourceLimits, Testbed
+from ..sandbox import ResourceLimits
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    attach_instrumentation,
-    build_viz_controller,
+    build_adaptive_viz,
     closed_loop_viz_user,
-    detach_instrumentation,
-    start_estimate_exchanges,
     sweep_cells,
     viz_initial_point,
     viz_preference,
@@ -181,10 +179,11 @@ def build_crowd(
 ) -> Scene:
     """Construct one crowd scenario without running it.
 
-    Performs every construction statement of :func:`run_crowd` in the
-    original order (byte-identity-gated by ``bench_crowd``) and returns a
-    :class:`~repro.experiments.scene.Scene` whose ``finalize()`` produces
-    the figure + payload once the sim reaches ``until``.
+    Builds through :func:`~repro.experiments.common.build_adaptive_viz`;
+    the crowd (coroutine users, or the columnar source, its agent and the
+    brownout) joins after the exchanges (construction order is
+    byte-identity-gated by ``bench_crowd``).  The Scene's ``finalize()``
+    produces the figure + payload once the sim reaches ``until``.
     """
     if scenario not in DEFAULT_USERS:
         raise ValueError(
@@ -198,58 +197,33 @@ def build_crowd(
         # config, and the controller stops when the app finishes).
         n_images = 18 if scenario == "flash" else 10
     db, _dims, _configs = fig6a_database(seed=seed)
-    preference = viz_preference()
-    initial_point = viz_initial_point()
-
-    app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
-    config = controller.select_initial(initial_point).config
-
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
-    )
-    workload = VizWorkload(n_images=n_images, costs=EXP1_COSTS, seed=seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits={"client": ResourceLimits(net_bw=500e3)},
-        workload=workload,
-    )
-    controller.attach(rt)
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
-
-    source: Optional[CrowdSource] = None
-    agent: Optional[CrowdAgent] = None
-    guard: Optional[OverloadGuard] = None
-    brownout_ctl: Optional[BrownoutController] = None
     baseline_stats: Dict[int, Dict[str, int]] = {}
 
-    if scenario == "baseline":
-        # Control group: every user is a real coroutine (the recovery
-        # experiment's closed-loop client, verbatim).
-        for uid in range(users):
-            testbed.sim.process(
-                closed_loop_viz_user(
-                    rt, workload, rt.app_model, uid, _BASELINE_SPEC, seed,
-                    baseline_stats, stream_prefix="crowd.baseline",
-                ),
-                name=f"crowd-{uid}",
-            )
-    else:
+    def load(scene):
+        rt, controller, sim = scene.rt, scene.controller, scene.sim
+        if scenario == "baseline":
+            # Control group: every user is a real coroutine (the recovery
+            # experiment's closed-loop client, verbatim).
+            for uid in range(users):
+                sim.process(
+                    closed_loop_viz_user(
+                        rt, scene.workload, rt.app_model, uid, _BASELINE_SPEC,
+                        seed, baseline_stats, stream_prefix="crowd.baseline",
+                    ),
+                    name=f"crowd-{uid}",
+                )
+            return
         crowd_classes, service_classes = _crowd_classes(scenario, users)
         if scenario == "flash":
-            guard = OverloadGuard(
+            scene.guard = OverloadGuard(
                 OverloadPolicy(
                     queue_capacity=200_000, shed_depth=15_000, keep_priority=1
                 ),
-                sim=testbed.sim,
+                sim=sim,
             )
-        source = CrowdSource(
-            testbed.sim,
-            testbed.hosts["client"],
+        scene.crowd = CrowdSource(
+            sim,
+            scene.testbed.hosts["client"],
             SERVER_HOST,
             CROWD_PORT,
             crowd_classes,
@@ -259,95 +233,60 @@ def build_crowd(
             drain=10.0,
             label=scenario,
         )
-        agent = CrowdAgent(
-            testbed.sim,
-            testbed.hosts[SERVER_HOST],
+        CrowdAgent(
+            sim,
+            scene.testbed.hosts[SERVER_HOST],
             CROWD_PORT,
             service_classes,
             config_fn=lambda: dict(rt.controls.current),
-            guard=guard,
-            source=source,
+            guard=scene.guard,
+            source=scene.crowd,
             tick=0.25,
         )
         # Monitor estimates sourced from crowd tallies: the controller's
         # agent samples per-class QoS satisfaction and realized rate from
         # the columnar state alongside its resource estimates.
         monitor = controller.monitor
-        monitor.crowd = source
+        monitor.crowd = scene.crowd
         monitor.retarget(
             watch=list(monitor.watch)
             + [f"crowd.{c.name}.qos" for c in crowd_classes]
             + [f"crowd.{c.name}.rate" for c in crowd_classes]
         )
-        if guard is not None:
-            brownout_ctl = BrownoutController(
-                rt, controller, guard, Configuration(dict(CHEAP_CONFIG)),
+        if scene.guard is not None:
+            scene.brownout = BrownoutController(
+                rt, controller, scene.guard, Configuration(dict(CHEAP_CONFIG)),
                 period=1.0, enter_shed_rate=0.3, exit_shed_rate=0.05,
                 enter_after=2, exit_after=3,
             ).start()
 
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
-
-    def _finalize():
-        testbed.shutdown()
-        return _summarize_crowd(
-            scenario=scenario, seed=seed, users=users, until=until,
-            n_images=n_images, controller=controller, rt=rt,
-            workload=workload, testbed=testbed, source=source, guard=guard,
-            brownout_ctl=brownout_ctl, baseline_stats=baseline_stats,
-            client_ex=client_ex, server_ex=server_ex,
-            usage=usage, recorder=recorder, profiler=profiler,
-        )
-
-    return Scene(
-        name="crowd", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        guard=guard, brownout=brownout_ctl, crowd=source,
-        client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
+    return build_adaptive_viz(
+        "crowd", seed, until, db, viz_preference(), viz_initial_point(),
+        {"client": ResourceLimits(net_bw=500e3)},
+        lambda scene: VizWorkload(n_images=n_images, costs=EXP1_COSTS, seed=seed),
+        functools.partial(
+            _summarize_crowd, scenario, users, n_images, baseline_stats
+        ),
+        must_finish=False,
+        on_session=load,
+        tiebreak=tiebreak, recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_crowd(
-    scenario, seed, users, until, n_images, controller, rt, workload,
-    testbed, source, guard, brownout_ctl, baseline_stats, client_ex,
-    server_ex, usage, recorder, profiler,
+    scenario, users, n_images, baseline_stats, scene, payload
 ) -> Tuple[FigureResult, Dict]:
-    payload: Dict = {
-        "experiment": "crowd",
-        "scenario": scenario,
-        "seed": seed,
-        "users": users,
-        "until": until,
-        "n_images": n_images,
-        "events": [
-            {
-                "t": e.time,
-                "kind": e.kind,
-                "config": e.config.label() if e.config is not None else None,
-            }
-            for e in controller.events
-        ],
-        "switches": [
-            {"t": t, "from": old.label(), "to": new.label()}
-            for t, old, new in rt.controls.history
-        ],
-        "final_config": rt.controls.current.label(),
-        "qos": rt.qos.snapshot(),
-        "network": {
-            "delivered": testbed.network.messages_delivered,
-            "lost": testbed.network.messages_lost,
-            "parked": testbed.network.messages_parked_total,
-        },
-        "exchange": {
-            "client_updates_received": client_ex.updates_received,
-            "server_updates_received": server_ex.updates_received,
-        },
-        "finished": bool(rt.finished.triggered),
-    }
+    source, guard, brownout_ctl = scene.crowd, scene.guard, scene.brownout
+    del payload["image_times"], payload["total_time"]
+    payload.update(
+        experiment="crowd",
+        scenario=scenario,
+        seed=scene.seed,
+        users=users,
+        until=scene.until,
+        n_images=n_images,
+        finished=bool(scene.rt.finished.triggered),
+    )
     if source is not None:
         payload["classes"] = source.stats()
         payload["totals"] = source.totals()
@@ -370,8 +309,6 @@ def _summarize_crowd(
             ),
         }
 
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
-
     result = FigureResult(
         figure="Crowd",
         title=f"Aggregate-population adaptation ({scenario}, {users:,} users)",
@@ -379,7 +316,7 @@ def _summarize_crowd(
         ylabel="image transmission time (s)",
     )
     series = result.new_series(f"interactive under {scenario} crowd")
-    for t, duration in workload.image_times:
+    for t, duration in scene.workload.image_times:
         series.add(t, duration)
     for switch in payload["switches"]:
         result.note(

@@ -28,9 +28,8 @@ from ..tunable import Configuration
 from .common import (
     FigureResult,
     attach_instrumentation,
-    build_viz_controller,
+    build_adaptive_viz,
     detach_instrumentation,
-    start_estimate_exchanges,
 )
 from .scene import Scene, scene_runner
 
@@ -224,124 +223,50 @@ def build_fig5_session(
     from ..tunable import MetricRange
 
     db, _dims, _configs = fig5_database(seed=seed)
+
+    def summarize(scene, payload):
+        del payload["network"]["parked"]
+        payload.update(
+            experiment="fig5_session", seed=seed, n_images=n_images,
+            variations=[[at, share] for at, share in variations],
+        )
+        result = FigureResult(
+            figure="Fig 5 session",
+            title="Adaptive fovea selection as client CPU share steps",
+            xlabel="time (s)",
+            ylabel="image transmission time (s)",
+        )
+        series = result.new_series("adaptive session")
+        for t, duration in scene.workload.image_times:
+            series.add(t, duration)
+        for at, share in variations:
+            result.note(f"t={at:.1f}s: client CPU share -> {share:g}")
+        for switch in payload["switches"]:
+            result.note(
+                f"t={switch['t']:.1f}s: switched {switch['from']} -> {switch['to']}"
+            )
+        result.note(f"final config: {payload['final_config']}")
+        return result, payload
+
     # The paper's Experiment-3 preference: minimize transmission time
     # subject to the 1 s round-response bound that separates the fovea
-    # sizes (see EXP3_COSTS above and run_experiment3 in fig7).
-    preference = UserPreference.single(
-        Objective("transmit_time", "minimize"),
-        [MetricRange("response_time", hi=1.0)],
-    )
-    initial_point = ResourcePoint(
-        {"client.cpu": 0.9, "client.network": EXP3_BW}
-    )
-
-    app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
-    config = controller.select_initial(initial_point).config
-
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
-    )
-    workload = VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=seed)
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits={"client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)},
-        workload=workload,
-    )
-    controller.attach(rt)
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
-
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
-
-    def vary():
-        for at, share in variations:
-            yield testbed.sim.timeout(at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(
-                ResourceLimits(cpu_share=share, net_bw=EXP3_BW)
-            )
-
-    if variations:
-        testbed.sim.process(vary())
-
-    def _finalize():
-        testbed.shutdown()
-        if not rt.finished.triggered:
-            raise RuntimeError(f"fig5 session did not finish by t={until}")
-        return _summarize_fig5_session(
-            seed=seed, n_images=n_images, variations=variations,
-            controller=controller, rt=rt, workload=workload, testbed=testbed,
-            client_ex=client_ex, server_ex=server_ex,
-            usage=usage, recorder=recorder, profiler=profiler,
-        )
-
-    return Scene(
-        name="fig5sess", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        client_exchange=client_ex, server_exchange=server_ex,
-        recorder=recorder, usage=usage, profiler=profiler,
-    )
-
-
-def _summarize_fig5_session(
-    seed, n_images, variations, controller, rt, workload, testbed,
-    client_ex, server_ex, usage, recorder, profiler,
-) -> Tuple[FigureResult, Dict]:
-    payload: Dict = {
-        "experiment": "fig5_session",
-        "seed": seed,
-        "n_images": n_images,
-        "variations": [[at, share] for at, share in variations],
-        "events": [
-            {
-                "t": e.time,
-                "kind": e.kind,
-                "config": e.config.label() if e.config is not None else None,
-            }
-            for e in controller.events
+    # sizes (see EXP3_COSTS above and Experiment 3 in fig7).
+    return build_adaptive_viz(
+        "fig5sess", seed, until, db,
+        UserPreference.single(
+            Objective("transmit_time", "minimize"),
+            [MetricRange("response_time", hi=1.0)],
+        ),
+        ResourcePoint({"client.cpu": 0.9, "client.network": EXP3_BW}),
+        {"client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)},
+        lambda scene: VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=seed),
+        summarize,
+        variations=[
+            (at, ResourceLimits(cpu_share=share, net_bw=EXP3_BW))
+            for at, share in variations
         ],
-        "switches": [
-            {"t": t, "from": old.label(), "to": new.label()}
-            for t, old, new in rt.controls.history
-        ],
-        "final_config": rt.controls.current.label(),
-        "qos": rt.qos.snapshot(),
-        "image_times": [[t, d] for t, d in workload.image_times],
-        "network": {
-            "delivered": testbed.network.messages_delivered,
-            "lost": testbed.network.messages_lost,
-        },
-        "exchange": {
-            "client_updates_received": client_ex.updates_received,
-            "server_updates_received": server_ex.updates_received,
-        },
-        "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
-    }
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
-
-    result = FigureResult(
-        figure="Fig 5 session",
-        title="Adaptive fovea selection as client CPU share steps",
-        xlabel="time (s)",
-        ylabel="image transmission time (s)",
+        tiebreak=tiebreak, recorder=recorder, usage=usage, profiler=profiler,
     )
-    series = result.new_series("adaptive session")
-    for t, duration in workload.image_times:
-        series.add(t, duration)
-    for at, share in variations:
-        result.note(f"t={at:.1f}s: client CPU share -> {share:g}")
-    for switch in payload["switches"]:
-        result.note(
-            f"t={switch['t']:.1f}s: switched {switch['from']} -> {switch['to']}"
-        )
-    result.note(f"final config: {payload['final_config']}")
-    return result, payload
 
 
 run_fig5_session = scene_runner(build_fig5_session)

@@ -17,40 +17,30 @@ per-image metrics versus time:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..apps.visualization import VizWorkload, make_viz_app
+from ..apps.visualization import VizCosts, VizWorkload
 from ..profiling import PerformanceDatabase, ResourcePoint
-from ..runtime import (
-    AdaptationController,
-    AdaptationEvent,
-    Objective,
-    ResourceScheduler,
-    UserPreference,
-)
-from ..sandbox import ResourceLimits, Testbed
-from ..tunable import Configuration, MetricRange, Preprocessor
-from .common import FigureResult, sweep_cells
+from ..runtime import AdaptationEvent, Objective, UserPreference
+from ..sandbox import ResourceLimits
+from ..tunable import Configuration, MetricRange
+from .common import FigureResult, build_adaptive_viz, sweep_cells
 from .fig5 import EXP3_BW, EXP3_COSTS, fig5_database
 from .fig6 import EXP1_COSTS, EXP2_BW, EXP2_COSTS, fig6a_database, fig6b_database
+from .scene import Scene
 
 __all__ = [
     "AdaptiveRun",
-    "run_adaptive_viz",
+    "build_fig7",
+    "build_fig7_exp1",
+    "build_fig7_exp2",
+    "build_fig7_exp3",
     "run_experiment1",
     "run_experiment2",
     "run_experiment3",
-    "ResourceVariation",
 ]
-
-
-@dataclass(frozen=True)
-class ResourceVariation:
-    """Change the client sandbox limits at a point in time."""
-
-    at: float
-    limits: ResourceLimits
 
 
 @dataclass
@@ -132,102 +122,146 @@ class AdaptiveRun:
         )
 
 
-def run_adaptive_viz(
-    db: PerformanceDatabase,
-    preference: UserPreference,
-    initial_point: ResourcePoint,
-    initial_limits: Dict[str, ResourceLimits],
-    variations: Tuple[ResourceVariation, ...],
-    workload_costs,
-    n_images: int = 10,
-    adaptive: bool = True,
-    forced_config: Optional[Configuration] = None,
-    scheduler_mode: str = "interpolate",
-    label: str = "",
+@dataclass(frozen=True)
+class _Experiment:
+    """One Section 7 experiment: everything its runs differ in."""
+
+    database: Callable[..., tuple]
+    costs: VizCosts
+    #: The client's (CPU share, bandwidth) before and after the step; a
+    #: ``None`` share leaves the CPU uncapped.
+    before: Tuple[Optional[float], float]
+    after: Tuple[Optional[float], float]
+    #: The objective's (metric, sense), and the metric ``bound`` caps.
+    objective: Tuple[str, str]
+    bounded: Optional[str]
+    #: Static run key -> (configuration, curve label).
+    static: Callable[[str], Tuple[Dict, str]]
+    #: Defaults of the registered ``fig7-exp<N>`` scenarios.
+    n_images: int
+    switch_at: float
+    bound: Optional[float]
+
+
+_EXPERIMENTS: Dict[int, _Experiment] = {
+    1: _Experiment(
+        fig6a_database, EXP1_COSTS, (None, 500e3), (None, 50e3),
+        ("transmit_time", "minimize"), None,
+        lambda run: ({"dR": 320, "c": run, "l": 4}, f"static {run}"),
+        n_images=10, switch_at=25.0, bound=None,
+    ),
+    2: _Experiment(
+        fig6b_database, EXP2_COSTS, (0.9, EXP2_BW), (0.4, EXP2_BW),
+        ("resolution", "maximize"), "transmit_time",
+        lambda run: (
+            {"dR": 320, "c": "lzw", "l": int(run[1:])},
+            f"static level {run[1:]}",
+        ),
+        n_images=10, switch_at=30.0, bound=10.0,
+    ),
+    3: _Experiment(
+        fig5_database, EXP3_COSTS, (0.9, EXP3_BW), (0.4, EXP3_BW),
+        ("transmit_time", "minimize"), "response_time",
+        lambda run: (
+            {"dR": int(run[2:]), "c": "lzw", "l": 4},
+            f"static fovea {run[2:]}",
+        ),
+        n_images=16, switch_at=40.0, bound=1.0,
+    ),
+}
+
+
+def build_fig7(
+    exp: int,
     seed: int = 0,
-    until: float = 10_000.0,
-    monitor_kwargs: Optional[dict] = None,
-    optimality_slack: float = 0.1,
-) -> AdaptiveRun:
-    """Run the visualization app under a resource-variation scenario.
+    run: str = "adaptive",
+    n_images: Optional[int] = None,
+    switch_at: Optional[float] = None,
+    bound: Optional[float] = None,
+    db: Optional[PerformanceDatabase] = None,
+    tiebreak=None,
+    detect_races: bool = False,
+    recorder=None,
+    usage=None,
+    profiler=None,
+) -> Scene:
+    """One Fig 7 run, adaptive or a static comparison curve, as a Scene.
 
-    With ``adaptive=False`` and ``forced_config``, runs a static
-    configuration for the comparison curves of Fig. 7.
+    ``exp`` picks Experiment 1, 2 or 3.  ``run`` is ``"adaptive"`` or one
+    of the experiment's static keys (``lzw``/``bzip2``, ``l4``/``l3``,
+    ``dR320``/``dR80``).  The client's limits step at ``switch_at``, and
+    ``bound`` caps the constrained metric (Experiment 2's deadline,
+    Experiment 3's response bound).  ``None`` takes the experiment's
+    default, and ``db`` defaults to its performance database.  The Scene's
+    figure is ``None``; its payload is the run's ``AdaptiveRun.to_dict()``.
     """
-    app = make_viz_app()
-    scheduler = ResourceScheduler(
-        db, preference, mode=scheduler_mode, optimality_slack=optimality_slack
-    )
-    controller = AdaptationController(
-        scheduler,
-        monitoring_plan=Preprocessor(app).monitoring_plan(),
-        monitor_kwargs=monitor_kwargs
-        or {"window": 2.0, "cooldown": 5.0, "period": 0.01},
-    )
-    if forced_config is not None:
-        config = forced_config
-    else:
-        config = controller.select_initial(initial_point).config
+    spec = _EXPERIMENTS[exp]
+    n_images = spec.n_images if n_images is None else n_images
+    switch_at = spec.switch_at if switch_at is None else switch_at
+    bound = spec.bound if bound is None else bound
+    if db is None:
+        db = spec.database(seed=seed)[0]
+    (share, bw), (after_share, after_bw) = spec.before, spec.after
+    ranges = [MetricRange(spec.bounded, hi=bound)] if spec.bounded else []
+    config, label = None, "adaptive"
+    if run != "adaptive":
+        static, label = spec.static(run)
+        config = Configuration(static)
 
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(), seed=seed
-    )
-    workload = VizWorkload(n_images=n_images, costs=workload_costs, seed=seed)
-    rt = app.instantiate(testbed, config, limits=initial_limits, workload=workload)
-    if adaptive:
-        if forced_config is not None:
-            controller.current_decision = scheduler.select(initial_point)
-        controller.attach(rt)
+    def summarize(scene, payload):
+        workload, controller = scene.workload, scene.controller
+        return None, AdaptiveRun(
+            label=label,
+            qos=payload["qos"],
+            image_times=list(workload.image_times),
+            round_times=list(workload.round_times),
+            switches=list(scene.rt.controls.history),
+            events=list(controller.events) if controller is not None else [],
+            total_time=payload["total_time"],
+        ).to_dict()
 
-    def vary():
-        for variation in variations:
-            yield testbed.sim.timeout(variation.at - testbed.sim.now)
-            rt.sandboxes["client"].set_limits(variation.limits)
-
-    if variations:
-        testbed.sim.process(vary())
-    testbed.run(until=until)
-    testbed.shutdown()
-    if not rt.finished.triggered:
-        raise RuntimeError(f"run {label!r} did not finish by t={until}")
-    return AdaptiveRun(
-        label=label or (config.label() if not adaptive else "adaptive"),
-        qos=rt.qos.snapshot(),
-        image_times=list(workload.image_times),
-        round_times=list(workload.round_times),
-        switches=list(rt.controls.history),
-        events=list(controller.events) if adaptive else [],
-        total_time=workload.image_times[-1][0] if workload.image_times else 0.0,
+    return build_adaptive_viz(
+        f"fig7-exp{exp}", seed, 10_000.0, db,
+        UserPreference.single(Objective(*spec.objective), ranges),
+        ResourcePoint({"client.cpu": share or 1.0, "client.network": bw}),
+        {"client": ResourceLimits(cpu_share=share, net_bw=bw)},
+        lambda scene: VizWorkload(n_images=n_images, costs=spec.costs, seed=seed),
+        summarize,
+        variations=[
+            (switch_at, ResourceLimits(cpu_share=after_share, net_bw=after_bw))
+        ],
+        config=config,
+        exchanges=False,
+        tiebreak=tiebreak, detect_races=detect_races,
+        recorder=recorder, usage=usage, profiler=profiler,
     )
+
+
+#: The adaptive run of each experiment, registered as ``fig7-exp<N>``.
+build_fig7_exp1 = functools.partial(build_fig7, 1)
+build_fig7_exp2 = functools.partial(build_fig7, 2)
+build_fig7_exp3 = functools.partial(build_fig7, 3)
+
+
+def _fig7_cell(payload: dict, seed: int) -> dict:
+    """Sweep job: one Fig 7 run; the payload holds ``build_fig7``'s args."""
+    args = dict(payload, db=PerformanceDatabase.from_dict(payload["db"]))
+    return build_fig7(seed=seed, **args).run()[1]
+
+
+def _runs(exp, keys, db, seed, engine, **params) -> Dict[str, AdaptiveRun]:
+    """One experiment's adaptive and static runs, through the sweep engine."""
+    db_dict = db.to_dict()
+    values = sweep_cells(
+        "repro.experiments.fig7:_fig7_cell",
+        [{"exp": exp, "db": db_dict, "run": key, **params} for key in keys],
+        seed=seed,
+        engine=engine,
+    )
+    return {key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)}
 
 
 # ------------------------------------------------------------ experiment 1
-
-
-def _exp1_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-1 run (``run``: adaptive | lzw | bzip2)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(Objective("transmit_time", "minimize"))
-    initial_point = ResourcePoint({"client.cpu": 1.0, "client.network": 500e3})
-    initial_limits = {"client": ResourceLimits(net_bw=500e3)}
-    variations = (
-        ResourceVariation(payload["switch_at"], ResourceLimits(net_bw=50e3)),
-    )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP1_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP1_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": 320, "c": run, "l": 4}),
-            label=f"static {run}", seed=seed,
-        )
-    return out.to_dict()
 
 
 def run_experiment1(
@@ -240,21 +274,10 @@ def run_experiment1(
     """Adapting the compression method to network conditions (Fig. 7a)."""
     if db is None:
         db, _dims, _configs = fig6a_database(seed=seed, engine=engine)
-    keys = ("adaptive", "lzw", "bzip2")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp1_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
+    runs = _runs(
+        1, ("adaptive", "lzw", "bzip2"), db, seed, engine,
+        n_images=n_images, switch_at=switch_at,
     )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
 
     result = FigureResult(
         figure="Fig 7a",
@@ -284,40 +307,6 @@ def run_experiment1(
 # ------------------------------------------------------------ experiment 2
 
 
-def _exp2_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-2 run (``run``: adaptive | l4 | l3)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(
-        Objective("resolution", "maximize"),
-        [MetricRange("transmit_time", hi=payload["deadline"])],
-    )
-    initial_point = ResourcePoint({"client.cpu": 0.9, "client.network": EXP2_BW})
-    initial_limits = {
-        "client": ResourceLimits(cpu_share=0.9, net_bw=EXP2_BW)
-    }
-    variations = (
-        ResourceVariation(
-            payload["switch_at"], ResourceLimits(cpu_share=0.4, net_bw=EXP2_BW)
-        ),
-    )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP2_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        level = int(run[1:])
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP2_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": 320, "c": "lzw", "l": level}),
-            label=f"static level {level}", seed=seed,
-        )
-    return out.to_dict()
-
-
 def run_experiment2(
     seed: int = 0,
     n_images: int = 10,
@@ -329,21 +318,10 @@ def run_experiment2(
     """Adapting image resolution to CPU conditions (Fig. 7b)."""
     if db is None:
         db, _dims, _configs = fig6b_database(seed=seed, engine=engine)
-    keys = ("adaptive", "l4", "l3")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp2_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at, "deadline": deadline}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
+    runs = _runs(
+        2, ("adaptive", "l4", "l3"), db, seed, engine,
+        n_images=n_images, switch_at=switch_at, bound=deadline,
     )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
 
     result = FigureResult(
         figure="Fig 7b",
@@ -366,40 +344,6 @@ def run_experiment2(
 # ------------------------------------------------------------ experiment 3
 
 
-def _exp3_cell(payload: dict, seed: int) -> dict:
-    """Sweep job: one Experiment-3 run (``run``: adaptive | dR320 | dR80)."""
-    db = PerformanceDatabase.from_dict(payload["db"])
-    preference = UserPreference.single(
-        Objective("transmit_time", "minimize"),
-        [MetricRange("response_time", hi=payload["response_bound"])],
-    )
-    initial_point = ResourcePoint({"client.cpu": 0.9, "client.network": EXP3_BW})
-    initial_limits = {
-        "client": ResourceLimits(cpu_share=0.9, net_bw=EXP3_BW)
-    }
-    variations = (
-        ResourceVariation(
-            payload["switch_at"], ResourceLimits(cpu_share=0.4, net_bw=EXP3_BW)
-        ),
-    )
-    run = payload["run"]
-    if run == "adaptive":
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP3_COSTS, n_images=payload["n_images"], label="adaptive",
-            seed=seed,
-        )
-    else:
-        dr = int(run[2:])
-        out = run_adaptive_viz(
-            db, preference, initial_point, initial_limits, variations,
-            EXP3_COSTS, n_images=payload["n_images"], adaptive=False,
-            forced_config=Configuration({"dR": dr, "c": "lzw", "l": 4}),
-            label=f"static fovea {dr}", seed=seed,
-        )
-    return out.to_dict()
-
-
 def run_experiment3(
     seed: int = 0,
     n_images: int = 16,
@@ -411,21 +355,10 @@ def run_experiment3(
     """Adapting fovea size to CPU conditions (Figs. 7c and 7d)."""
     if db is None:
         db, _dims, _configs = fig5_database(seed=seed, engine=engine)
-    keys = ("adaptive", "dR320", "dR80")
-    db_dict = db.to_dict()
-    values = sweep_cells(
-        "repro.experiments.fig7:_exp3_cell",
-        [
-            {"db": db_dict, "run": key, "n_images": n_images,
-             "switch_at": switch_at, "response_bound": response_bound}
-            for key in keys
-        ],
-        seed=seed,
-        engine=engine,
+    runs = _runs(
+        3, ("adaptive", "dR320", "dR80"), db, seed, engine,
+        n_images=n_images, switch_at=switch_at, bound=response_bound,
     )
-    runs: Dict[str, AdaptiveRun] = {
-        key: AdaptiveRun.from_dict(value) for key, value in zip(keys, values)
-    }
 
     fig_c = FigureResult(
         figure="Fig 7c",

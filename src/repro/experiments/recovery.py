@@ -31,9 +31,10 @@ or off (the benchmark asserts this).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
-from ..apps.visualization import VizWorkload, make_viz_app
+from ..apps.visualization import VizWorkload
 from ..faults import FaultInjector, FaultPlan
 from ..recovery import (
     BrownoutController,
@@ -43,15 +44,12 @@ from ..recovery import (
     RestartPolicy,
     Supervisor,
 )
-from ..sandbox import ResourceLimits, Testbed
+from ..sandbox import ResourceLimits
 from ..tunable import Configuration
 from .common import (
     FigureResult,
-    attach_instrumentation,
-    build_viz_controller,
+    build_adaptive_viz,
     closed_loop_viz_user,
-    detach_instrumentation,
-    start_estimate_exchanges,
     viz_initial_point,
     viz_preference,
 )
@@ -115,10 +113,12 @@ def build_recovery(
 ) -> Scene:
     """Construct the supervision/failover/overload-shedding run, unrun.
 
-    Performs every construction statement of :func:`run_recovery` in the
-    original order (byte-identity-gated by ``bench_recovery``) and returns
-    a :class:`~repro.experiments.scene.Scene` whose ``finalize()``
-    produces the figure + payload once the sim reaches ``until``.
+    Builds through :func:`~repro.experiments.common.build_adaptive_viz`:
+    the supervisor, injector and overload guard come before the workload,
+    the failover group, supervision tree, brownout and flash crowd after
+    the exchanges (construction order is byte-identity-gated by
+    ``bench_recovery``).  The Scene's ``finalize()`` produces the figure +
+    payload once the sim reaches ``until``.
 
     ``supervise=False`` keeps the service *registry* (kill events still
     route, downtime still accrues) but never restarts anything — the
@@ -134,181 +134,149 @@ def build_recovery(
         DEFAULT_RECOVERY_FAULTS if fault_spec is None else fault_spec
     )
     crowd = dict(DEFAULT_CROWD if crowd_spec is None else crowd_spec)
-    preference = viz_preference()
-    initial_point = viz_initial_point()
+    # Filled in as the scene is built; _summarize_recovery reads them.
+    parts: Dict = {"crowd_stats": {}, "member_client": None, "member_server": None}
 
-    app = make_viz_app()
-    _scheduler, controller = build_viz_controller(
-        app, db, preference, recorder=recorder
-    )
-    config = controller.select_initial(initial_point).config
+    def workload(scene):
+        # The supervisor must bind before the plan installs: kill events
+        # route through sim.recovery, and safe points start checkpointing
+        # immediately.
+        scene.supervisor = Supervisor(scene.sim, seed=seed).attach()
+        scene.injector = FaultInjector.attach(scene.testbed, plan, seed=seed)
+        scene.guard = OverloadGuard(
+            OverloadPolicy(queue_capacity=64, shed_depth=4, keep_priority=1),
+            sim=scene.sim,
+        )
+        return VizWorkload(
+            n_images=n_images, costs=EXP1_COSTS, seed=seed,
+            overload=scene.guard, server_state={"codec": dict(scene.config)["c"]},
+        )
 
-    testbed = Testbed(
-        host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
-        seed=seed, tiebreak=tiebreak,
-    )
-    # The supervisor must bind before the plan installs: kill events route
-    # through sim.recovery, and safe points start checkpointing immediately.
-    supervisor = Supervisor(testbed.sim, seed=seed).attach()
-    injector = FaultInjector.attach(testbed, plan, seed=seed)
+    def services(scene):
+        rt, controller, supervisor = scene.rt, scene.controller, scene.supervisor
+        workload, client_ex = scene.workload, scene.client_exchange
+        server_state = workload.server_state
 
-    guard = OverloadGuard(
-        OverloadPolicy(queue_capacity=64, shed_depth=4, keep_priority=1),
-        sim=testbed.sim,
-    )
-    server_state: Dict = {"codec": dict(config)["c"]}
-    workload = VizWorkload(
-        n_images=n_images, costs=EXP1_COSTS, seed=seed,
-        overload=guard, server_state=server_state,
-    )
-    rt = app.instantiate(
-        testbed,
-        config,
-        limits={"client": ResourceLimits(net_bw=500e3)},
-        workload=workload,
-    )
-    # Register teardown FIRST so the supervisor treats post-run process
-    # exits (server receiving CloseConnection) as normal, not as deaths.
-    if rt.finished.callbacks is not None:
-        rt.finished.callbacks.append(lambda _e: supervisor.shutdown())
-    controller.attach(rt)
+        # -- controller failover group -------------------------------------
+        member_client: Optional[FailoverMember] = None
+        if failover:
+            member_client = FailoverMember(
+                rt, "client", ["client", "server"],
+                activate=lambda state: None,  # rank 0 *is* the controller host
+                snapshot=controller.snapshot,
+                period=0.5, takeover_after=1.5, initially_active=True,
+            ).start()
 
-    server_agent, client_ex, server_ex = start_estimate_exchanges(rt, controller)
+            def standby_activate(state):
+                # Resume from the replicated checkpoint: adopt the freshest
+                # controller state so the primary's warm restart picks it up.
+                if state is not None:
+                    supervisor.store.save("controller", scene.sim.now, dict(state))
 
-    # -- controller failover group -----------------------------------------
-    member_client: Optional[FailoverMember] = None
-    member_server: Optional[FailoverMember] = None
-    if failover:
-        member_client = FailoverMember(
-            rt, "client", ["client", "server"],
-            activate=lambda state: None,  # rank 0 *is* the controller host
-            snapshot=controller.snapshot,
-            period=0.5, takeover_after=1.5, initially_active=True,
-        ).start()
+            member_server = FailoverMember(
+                rt, "server", ["client", "server"],
+                activate=standby_activate,
+                period=0.5, takeover_after=1.5,
+            ).start()
+            if rt.finished.callbacks is not None:
+                rt.finished.callbacks.append(lambda _e: member_client.stop())
+                rt.finished.callbacks.append(lambda _e: member_server.stop())
+            parts.update(member_client=member_client, member_server=member_server)
 
-        def standby_activate(state):
-            # Resume from the replicated checkpoint: adopt the freshest
-            # controller state so the primary's warm restart picks it up.
+        # -- supervision tree -----------------------------------------------
+        server_policy = RestartPolicy(
+            base_delay=0.25, factor=2.0, jitter=0.05, max_restarts=5,
+            storm_window=60.0, warm=checkpoints,
+        )
+        # The controller's backoff deliberately exceeds takeover_after so
+        # the standby demonstrably runs the group while the primary is down.
+        controller_policy = RestartPolicy(
+            base_delay=3.0, factor=2.0, jitter=0.05, max_restarts=5,
+            storm_window=120.0, ready_poll=0.05, ready_timeout=30.0,
+            warm=checkpoints,
+        )
+
+        def start_server(state):
+            if state:
+                server_state.update(state)
+            from ..apps.visualization.server import server_process
+
+            return rt.sim.process(
+                server_process(rt, workload, rt.app_model,
+                               overload=workload.overload,
+                               codec_state=workload.server_state),
+                name="viz-server",
+            )
+
+        supervisor.supervise(
+            "viz-server",
+            start_server,
+            processes=[rt.processes["viz-server"]],
+            policy=server_policy,
+            snapshot=lambda: dict(server_state),
+            restarts=supervise,
+        )
+
+        def controller_procs():
+            procs = [controller.monitor.process, controller._watchdog_proc]
+            if member_client is not None:
+                procs.extend(member_client.processes())
+            return [p for p in procs if p is not None]
+
+        def start_controller(state):
             if state is not None:
-                supervisor.store.save(
-                    "controller", testbed.sim.now, dict(state)
-                )
+                controller.restore(dict(state))
+            controller.attach(rt)
+            client_ex.agent = controller.monitor
+            controller.start_watchdog(client_ex)
+            if member_client is not None:
+                member_client.start()
+            return controller_procs()
 
-        member_server = FailoverMember(
-            rt, "server", ["client", "server"],
-            activate=standby_activate,
-            period=0.5, takeover_after=1.5,
-        ).start()
-        if rt.finished.callbacks is not None:
-            rt.finished.callbacks.append(lambda _e: member_client.stop())
-            rt.finished.callbacks.append(lambda _e: member_server.stop())
+        def controller_ready():
+            # Warm restarts restore the monitor's histories and answer at
+            # once; a cold monitor must refill (bandwidth needs a completed
+            # transfer) — exactly the warm-vs-cold MTTR gap the benchmark
+            # measures.
+            est = controller.monitor.estimates()
+            return all(r in est for r in controller.monitor.watch)
 
-    # -- supervision tree ---------------------------------------------------
-    server_policy = RestartPolicy(
-        base_delay=0.25, factor=2.0, jitter=0.05, max_restarts=5,
-        storm_window=60.0, warm=checkpoints,
-    )
-    # The controller's backoff deliberately exceeds takeover_after so the
-    # standby demonstrably runs the group while the primary is down.
-    controller_policy = RestartPolicy(
-        base_delay=3.0, factor=2.0, jitter=0.05, max_restarts=5,
-        storm_window=120.0, ready_poll=0.05, ready_timeout=30.0,
-        warm=checkpoints,
-    )
-
-    def start_server(state):
-        if state:
-            server_state.update(state)
-        from ..apps.visualization.server import server_process
-
-        return rt.sim.process(
-            server_process(rt, workload, rt.app_model,
-                           overload=workload.overload,
-                           codec_state=workload.server_state),
-            name="viz-server",
+        supervisor.supervise(
+            "controller",
+            start_controller,
+            processes=controller_procs(),
+            policy=controller_policy,
+            snapshot=controller.snapshot,
+            ready=controller_ready,
+            restarts=supervise,
         )
 
-    supervisor.supervise(
-        "viz-server",
-        start_server,
-        processes=[rt.processes["viz-server"]],
-        policy=server_policy,
-        snapshot=lambda: dict(server_state),
-        restarts=supervise,
-    )
+        # -- overload / brownout ---------------------------------------------
+        if brownout:
+            scene.brownout = BrownoutController(
+                rt, controller, scene.guard, Configuration(dict(CHEAP_CONFIG)),
+                period=1.0, enter_shed_rate=0.3, exit_shed_rate=0.05,
+                enter_after=2, exit_after=3,
+            ).start()
 
-    def controller_procs():
-        procs = [controller.monitor.process, controller._watchdog_proc]
-        if member_client is not None:
-            procs.extend(member_client.processes())
-        return [p for p in procs if p is not None]
-
-    def start_controller(state):
-        if state is not None:
-            controller.restore(dict(state))
-        controller.attach(rt)
-        client_ex.agent = controller.monitor
-        controller.start_watchdog(client_ex)
-        if member_client is not None:
-            member_client.start()
-        return controller_procs()
-
-    def controller_ready():
-        # Warm restarts restore the monitor's histories and answer at once;
-        # a cold monitor must refill (bandwidth needs a completed transfer)
-        # — exactly the warm-vs-cold MTTR gap the benchmark measures.
-        est = controller.monitor.estimates()
-        return all(r in est for r in controller.monitor.watch)
-
-    supervisor.supervise(
-        "controller",
-        start_controller,
-        processes=controller_procs(),
-        policy=controller_policy,
-        snapshot=controller.snapshot,
-        ready=controller_ready,
-        restarts=supervise,
-    )
-
-    # -- overload / brownout -------------------------------------------------
-    brownout_ctl: Optional[BrownoutController] = None
-    if brownout:
-        brownout_ctl = BrownoutController(
-            rt, controller, guard, Configuration(dict(CHEAP_CONFIG)),
-            period=1.0, enter_shed_rate=0.3, exit_shed_rate=0.05,
-            enter_after=2, exit_after=3,
-        ).start()
-
-    # -- flash crowd ---------------------------------------------------------
-    crowd_stats: Dict[int, Dict[str, int]] = {}
-    for uid in range(int(crowd.get("users", 0))):
-        testbed.sim.process(
-            closed_loop_viz_user(
-                rt, workload, rt.app_model, uid, crowd, seed, crowd_stats
-            ),
-            name=f"crowd-{uid}",
-        )
-
-    detector = None
-    if detect_races:
-        from ..analysis.races import RaceDetector, watch
-
-        detector = RaceDetector(testbed.sim).attach()
-        for host_name in sorted(testbed.hosts):
-            watch(detector, testbed.hosts[host_name])
-        for label, exchange in (("client", client_ex), ("server", server_ex)):
-            detector.watch_mapping(
-                exchange, "remote_estimates", f"{label}.remote_estimates"
+        # -- flash crowd -----------------------------------------------------
+        for uid in range(int(crowd.get("users", 0))):
+            scene.sim.process(
+                closed_loop_viz_user(
+                    rt, workload, rt.app_model, uid, crowd, seed,
+                    parts["crowd_stats"],
+                ),
+                name=f"crowd-{uid}",
             )
-            detector.watch_mapping(
-                exchange, "peer_last_seen", f"{label}.peer_last_seen"
-            )
+
+    def watch(scene, detector):
         # Recovery-subsystem shared state: the supervisor's service and
         # checkpoint tables, each failover member's heartbeat/rank state,
         # and the overload guard's admission counters.  All of it is
         # touched from several coroutines (kill routing, safe-point
         # checkpointing, watchdog ticks, crowd requests) — exactly the
         # kind of cross-context state a tie-order race would corrupt.
+        supervisor = scene.supervisor
         detector.watch_mapping(supervisor, "services", "supervisor.services")
         detector.watch_mapping(
             supervisor.store, "_latest", "supervisor.checkpoints"
@@ -320,7 +288,7 @@ def build_recovery(
             supervisor, ("_plan_restart", "_restart"),
             "supervisor.restart_table",
         )
-        for member in (member_client, member_server):
+        for member in (parts["member_client"], parts["member_server"]):
             if member is None:
                 continue
             detector.watch_mapping(
@@ -331,83 +299,68 @@ def build_recovery(
                 member, ("_take_over",),
                 f"failover.{member.host_name}.takeover",
             )
-        detector.watch_calls(guard, ("admit",), "overload.guard")
+        detector.watch_calls(scene.guard, ("admit",), "overload.guard")
 
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
-
-    def _finalize():
-        testbed.shutdown()
-        if supervise and not rt.finished.triggered:
-            raise RuntimeError(
-                f"supervised recovery run did not finish by t={until}"
-            )
-        return _summarize_recovery(
-            plan=plan, seed=seed, n_images=n_images, crowd=crowd,
-            supervise=supervise, checkpoints=checkpoints, failover=failover,
-            brownout=brownout, supervisor=supervisor, injector=injector,
-            controller=controller, rt=rt, workload=workload, testbed=testbed,
-            guard=guard, brownout_ctl=brownout_ctl,
-            member_client=member_client, member_server=member_server,
-            crowd_stats=crowd_stats, detector=detector,
-            usage=usage, recorder=recorder, profiler=profiler,
-        )
-
-    return Scene(
-        name="recovery", seed=seed, until=until, testbed=testbed,
-        finalize=_finalize, rt=rt, controller=controller, workload=workload,
-        injector=injector, supervisor=supervisor, guard=guard,
-        brownout=brownout_ctl,
-        client_exchange=client_ex, server_exchange=server_ex,
+    return build_adaptive_viz(
+        "recovery", seed, until, db, viz_preference(), viz_initial_point(),
+        {"client": ResourceLimits(net_bw=500e3)}, workload,
+        functools.partial(
+            _summarize_recovery, plan, n_images, crowd,
+            {"supervise": supervise, "checkpoints": checkpoints,
+             "failover": failover, "brownout": brownout},
+            parts,
+        ),
+        must_finish=supervise,
+        on_session=services,
+        watch=watch,
+        tiebreak=tiebreak, detect_races=detect_races,
         recorder=recorder, usage=usage, profiler=profiler,
     )
 
 
 def _summarize_recovery(
-    plan, seed, n_images, crowd, supervise, checkpoints, failover, brownout,
-    supervisor, injector, controller, rt, workload, testbed, guard,
-    brownout_ctl, member_client, member_server, crowd_stats, detector,
-    usage, recorder, profiler,
+    plan, n_images, crowd, modes, parts, scene, payload,
 ) -> Tuple[FigureResult, Dict]:
+    supervisor, workload, brownout_ctl = (
+        scene.supervisor, scene.workload, scene.brownout
+    )
     # Accounting horizon: the teardown instant when the app finished (the
     # supervisor recorded it in shutdown()); for unsupervised runs that never
     # fire shutdown, fall back to the simulated clock.
     horizon = supervisor.shutdown_at
     if horizon is None:
-        horizon = testbed.sim.now
+        horizon = scene.sim.now
     supervisor.finalize(horizon)
 
+    crowd_stats = parts["crowd_stats"]
     crowd_served = sum(s["served"] for s in crowd_stats.values())
     crowd_shed = sum(s["shed"] for s in crowd_stats.values())
-    payload = {
-        "experiment": "recovery",
-        "seed": seed,
-        "n_images": n_images,
-        "modes": {
-            "supervise": supervise,
-            "checkpoints": checkpoints,
-            "failover": failover,
-            "brownout": brownout,
-        },
-        "fault_spec": plan.to_spec(),
-        "crowd": {k: crowd[k] for k in sorted(crowd)},
-        "injections": injector.log,
-        "recovery": supervisor.summary(horizon),
-        "horizon": horizon,
-        "failover": {
+    del payload["exchange"]
+    payload.update(
+        experiment="recovery",
+        seed=scene.seed,
+        n_images=n_images,
+        modes=modes,
+        fault_spec=plan.to_spec(),
+        crowd={k: crowd[k] for k in sorted(crowd)},
+        injections=scene.injector.log,
+        recovery=supervisor.summary(horizon),
+        horizon=horizon,
+        failover={
             name: {
                 "takeovers": m.takeovers,
                 "handbacks": m.handbacks,
                 "latencies": list(m.failover_latencies),
                 "active_at_end": m.active,
             }
-            for name, m in (("client", member_client), ("server", member_server))
+            for name, m in (
+                ("client", parts["member_client"]),
+                ("server", parts["member_server"]),
+            )
             if m is not None
         },
-        "overload": {
-            **guard.totals(),
+        overload={
+            **scene.guard.totals(),
             "crowd_served": crowd_served,
             "crowd_shed": crowd_shed,
             "interactive_shed_rounds": len(workload.shed_rounds),
@@ -417,33 +370,8 @@ def _summarize_recovery(
                 else []
             ),
         },
-        "events": [
-            {
-                "t": e.time,
-                "kind": e.kind,
-                "config": e.config.label() if e.config is not None else None,
-            }
-            for e in controller.events
-        ],
-        "switches": [
-            {"t": t, "from": old.label(), "to": new.label()}
-            for t, old, new in rt.controls.history
-        ],
-        "final_config": rt.controls.current.label(),
-        "qos": rt.qos.snapshot(),
-        "image_times": [[t, d] for t, d in workload.image_times],
-        "network": {
-            "delivered": testbed.network.messages_delivered,
-            "lost": testbed.network.messages_lost,
-            "parked": testbed.network.messages_parked_total,
-        },
-        "finished": bool(rt.finished.triggered),
-        "total_time": workload.image_times[-1][0] if workload.image_times else 0.0,
-    }
-    if detector is not None:
-        payload["races"] = [r.to_dict() for r in detector.finish()]
-        detector.detach()
-    detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+        finished=bool(scene.rt.finished.triggered),
+    )
 
     result = FigureResult(
         figure="Recovery",
@@ -452,11 +380,11 @@ def _summarize_recovery(
         ylabel="image transmission time (s)",
     )
     series = result.new_series(
-        "adaptive, supervised" if supervise else "adaptive, unsupervised"
+        "adaptive, supervised" if modes["supervise"] else "adaptive, unsupervised"
     )
     for t, duration in workload.image_times:
         series.add(t, duration)
-    for entry in injector.log:
+    for entry in scene.injector.log:
         what = entry.get("service") or entry.get("host") or entry.get("between")
         result.note(f"t={entry['t']:.1f}s: {entry['action']} ({what})")
     for m in payload["recovery"]["mttr"]:

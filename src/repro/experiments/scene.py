@@ -7,10 +7,11 @@ construct everything, hand the simulator to the user for ``step()`` /
 ``run_until()`` driving, then produce the exact same payload at the end.
 
 A :class:`Scene` is the contract between the two: ``build_<name>()``
-performs every construction statement of the original ``run_<name>()``
-in the original order (this is byte-identity-gated by the chaos/recovery
-/crowd benchmarks), and stores a ``finalize`` closure holding everything
-that used to follow ``testbed.run(...)``.  ``run_<name>()`` is then
+performs every construction statement in a fixed order (this is
+byte-identity-gated by the chaos/recovery/crowd benchmarks), and stores
+a ``finalize`` closure holding everything that follows
+``testbed.run(...)``.  Every adaptive visualization session builds
+through one skeleton, :func:`~repro.experiments.common.build_adaptive_viz`.  ``run_<name>()`` is then
 ``build_<name>(...).run()``, derived by :func:`scene_runner`, so the
 monolithic entry points stay bit-for-bit compatible while the
 interactive context can drive the middle leg one event at a time.
@@ -41,6 +42,7 @@ class Scene:
         finalize: Callable[[], Tuple[Any, Dict]],
         rt=None,
         controller=None,
+        config=None,
         workload=None,
         injector=None,
         supervisor=None,
@@ -61,6 +63,8 @@ class Scene:
         self.testbed = testbed
         self.rt = rt
         self.controller = controller
+        #: The configuration the app starts in.
+        self.config = config
         self.workload = workload
         self.injector = injector
         self.supervisor = supervisor

@@ -82,7 +82,9 @@ class Testbed:
         self.sim = Simulator(tiebreak=tiebreak)
         self.network = Network(self.sim)
         self.hosts: Dict[str, Host] = {}
-        self.sandboxes: Dict[str, Sandbox] = {}
+        #: Every sandbox created here, in creation order (names can repeat:
+        #: co-located copies of one app share ``{app}.{host}``).
+        self.sandboxes: List[Sandbox] = []
         self.daemons: List[BackgroundLoad] = []
         for spec in host_specs:
             host = Host(self.sim, spec.name, spec.cpu_speed, spec.mem_pages)
@@ -117,7 +119,7 @@ class Testbed:
             name=name or f"{host_name}.sandbox",
             **kwargs,
         )
-        self.sandboxes[sb.name] = sb
+        self.sandboxes.append(sb)
         return sb
 
     def run(self, until: Optional[float] = None) -> None:
@@ -155,5 +157,5 @@ class Testbed:
         """Stop the daemons and close the sandboxes; calling it again is a no-op."""
         for daemon in self.daemons:
             daemon.stop()
-        for sb in self.sandboxes.values():
+        for sb in self.sandboxes:
             sb.close()

@@ -44,6 +44,9 @@ SCENARIOS: Dict[str, str] = {
     "fig5sess": "repro.experiments.fig5:build_fig5_session",
     "fig6a": "repro.experiments.fig6:fig6a_database",
     "fig6b": "repro.experiments.fig6:fig6b_database",
+    "fig7-exp1": "repro.experiments.fig7:build_fig7_exp1",
+    "fig7-exp2": "repro.experiments.fig7:build_fig7_exp2",
+    "fig7-exp3": "repro.experiments.fig7:build_fig7_exp3",
     "recovery": "repro.experiments.recovery:build_recovery",
 }
 

@@ -11,9 +11,8 @@ checks it is acyclic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .parameters import Configuration, TunabilityError
 
@@ -55,16 +54,19 @@ class TaskGraph:
         if len(set(names)) != len(names):
             raise TunabilityError(f"duplicate task names: {names!r}")
         self.tasks: Dict[str, TaskSpec] = {t.name: t for t in tasks}
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(names)
+        sorter: TopologicalSorter = TopologicalSorter()
+        for name in names:
+            sorter.add(name)
         for a, b in edges:
             for node in (a, b):
                 if node not in self.tasks:
                     raise TunabilityError(f"edge references unknown task {node!r}")
-            self.graph.add_edge(a, b)
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            raise TunabilityError(f"task graph has a cycle: {cycle!r}")
+            sorter.add(b, a)
+        try:
+            #: Task names in topological order (ties in insertion order).
+            self.order: Tuple[str, ...] = tuple(sorter.static_order())
+        except CycleError as err:
+            raise TunabilityError(f"task graph has a cycle: {err.args[1]!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self.tasks
@@ -81,8 +83,7 @@ class TaskGraph:
         This is "the family of DAGs": each configuration selects the
         subgraph of tasks whose guards accept it.
         """
-        order = list(nx.topological_sort(self.graph))
-        return [self.tasks[n] for n in order if self.tasks[n].enabled(config)]
+        return [self.tasks[n] for n in self.order if self.tasks[n].enabled(config)]
 
     def resources_used(self, config: Configuration) -> List[str]:
         """Union of resources used along the execution path of ``config``.

@@ -71,6 +71,18 @@ def test_overhead_fields_band_the_variant_cost(baseline, fresh, status):
     assert rows["overhead_profiled"]["delta_rel"] == round(expected, 4)
 
 
+def test_crowd_overhead_reads_a_2x_slowdown_as_100_percent():
+    # BENCH_crowd.json stores crowd_s / baseline_s - 1 (0.453x -> -0.547);
+    # the crowd run getting 2x slower (0.906x -> -0.094) is +100 %.  Stored
+    # as the plain ratio, the same slowdown read +31 % and passed.
+    field = "crowd_vs_baseline_overhead"
+    rows = by_field(compare_records("b", {field: -0.094}, {field: -0.547}))
+    assert rows[field]["delta_rel"] == pytest.approx(1.0, abs=1e-3)
+    assert rows[field]["status"] == "regression"
+    rows = by_field(compare_records("b", {field: 0.906}, {field: 0.453}))
+    assert rows[field]["delta_rel"] == pytest.approx(0.312, abs=1e-3)
+
+
 def test_non_overhead_timings_band_by_plain_relative_change():
     base = {"wall_time_s": 0.0023, "spawn_exit_ns": 1000.0}
     rows = by_field(compare_records(

@@ -80,3 +80,21 @@ def test_an_unfinished_app_is_named():
     with pytest.raises(RuntimeError, match=r"did not finish within 60s: toy @ scale=1.0"):
         tb.run_until_finished([rt], until=60)
     assert rt.qos.get("elapsed") is None
+
+
+def test_shutdown_closes_every_colocated_sandbox():
+    """Co-located copies of one app share a sandbox name; all are closed."""
+    app = make_toy_app()
+    tb = Testbed(host_specs=app.env.host_specs())
+    runtimes = [
+        app.instantiate(
+            tb,
+            Configuration({"scale": 1.0}),
+            limits={"node": ResourceLimits(cpu_share=0.3)},
+        )
+        for _ in range(3)
+    ]
+    tb.run_until_finished(runtimes, until=3600)
+    assert len({rt.sandboxes["node"].name for rt in runtimes}) == 1
+    assert tb.sandboxes == [rt.sandboxes["node"] for rt in runtimes]
+    assert [sb._closed for sb in tb.sandboxes] == [True, True, True]

@@ -155,6 +155,48 @@ def test_task_graph_rejects_cycles():
         TaskGraph([t1, t2], edges=[("a", "b"), ("b", "a")])
 
 
+@pytest.mark.parametrize(
+    "names,edges,order",
+    [
+        (
+            ["sink", "left", "src", "right"],
+            [("src", "left"), ("src", "right"), ("left", "sink"),
+             ("right", "sink")],
+            ["src", "left", "right", "sink"],
+        ),
+        (["c", "b", "a"], [("a", "b"), ("b", "c")], ["a", "b", "c"]),
+        (
+            ["x", "y", "z", "w", "v"],
+            [("w", "x"), ("v", "z")],
+            ["y", "w", "v", "x", "z"],
+        ),
+    ],
+)
+def test_execution_path_order_is_pinned(names, edges, order):
+    """Topological order: sources in insertion order, then their successors.
+
+    These are the orders the graph gave before it moved to the standard
+    library's ``graphlib``, for the same node and edge insertion order.
+    """
+    graph = TaskGraph([TaskSpec(n) for n in names], edges=edges)
+    assert [t.name for t in graph.execution_path(cfg(mode="x"))] == order
+
+
+@pytest.mark.parametrize(
+    "edges,cycle",
+    [
+        ([("a", "b"), ("b", "a")], "['a', 'b', 'a']"),
+        ([("a", "a")], "['a', 'a']"),
+        ([("a", "b"), ("b", "c"), ("c", "a")], "['a', 'b', 'c', 'a']"),
+    ],
+)
+def test_cycle_error_names_the_cycle(edges, cycle):
+    tasks = [TaskSpec(n) for n in "abc"]
+    with pytest.raises(TunabilityError) as err:
+        TaskGraph(tasks, edges=edges)
+    assert str(err.value) == f"task graph has a cycle: {cycle}"
+
+
 def test_task_graph_unknown_edge():
     with pytest.raises(TunabilityError):
         TaskGraph([TaskSpec("a")], edges=[("a", "zzz")])
