@@ -64,24 +64,32 @@ def lzw_compress(data: bytes) -> bytes:
     """Compress ``data``; empty input yields empty output."""
     if not data:
         return b""
-    dictionary = {bytes([i]): i for i in range(256)}
+    # A string is keyed by its prefix's code and its last byte, packed into
+    # one int: ``(prefix_code << 8) | byte``.  The 256 single-byte strings
+    # need no entries, their code is the byte itself.
+    dictionary = {}
+    lookup = dictionary.get
     next_code = 256
     width = _MIN_WIDTH
+    limit = 1 << width
     writer = _BitWriter()
-    current = bytes([data[0]])
+    write = writer.write
+    current = data[0]
     for byte in data[1:]:
-        candidate = current + bytes([byte])
-        if candidate in dictionary:
-            current = candidate
+        key = (current << 8) | byte
+        code = lookup(key)
+        if code is not None:
+            current = code
             continue
-        writer.write(dictionary[current], width)
+        write(current, width)
         if next_code < _MAX_CODE:
-            dictionary[candidate] = next_code
+            dictionary[key] = next_code
             next_code += 1
-            if next_code > (1 << width) and width < _MAX_WIDTH:
+            if next_code > limit and width < _MAX_WIDTH:
                 width += 1
-        current = bytes([byte])
-    writer.write(dictionary[current], width)
+                limit <<= 1
+        current = byte
+    write(current, width)
     return writer.getvalue()
 
 

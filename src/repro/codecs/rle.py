@@ -47,23 +47,23 @@ def rle_decompress(data: bytes) -> bytes:
 
 def mtf_encode(data: bytes) -> bytes:
     """Move-to-front transform (stabilizes byte distributions for RLE)."""
-    alphabet = list(range(256))
+    alphabet = bytearray(range(256))
     out = bytearray()
     for byte in data:
         idx = alphabet.index(byte)
         out.append(idx)
-        alphabet.pop(idx)
+        del alphabet[idx]
         alphabet.insert(0, byte)
     return bytes(out)
 
 
 def mtf_decode(data: bytes) -> bytes:
     """Inverse of :func:`mtf_encode`."""
-    alphabet = list(range(256))
+    alphabet = bytearray(range(256))
     out = bytearray()
     for idx in data:
         byte = alphabet[idx]
         out.append(byte)
-        alphabet.pop(idx)
+        del alphabet[idx]
         alphabet.insert(0, byte)
     return bytes(out)

@@ -19,8 +19,6 @@ import hashlib
 from pathlib import Path
 from typing import Dict, Optional, Sequence, Tuple
 
-from ..analysis.lint import discover_files
-
 __all__ = ["source_fingerprint", "clear_fingerprint_cache"]
 
 _CACHE: Dict[Tuple[str, ...], str] = {}
@@ -43,6 +41,10 @@ def source_fingerprint(roots: Optional[Sequence[Path]] = None) -> str:
     cached = _CACHE.get(memo_key)
     if cached is not None:
         return cached
+    # Imported here: repro.analysis is the whole linter and checker, and
+    # every experiment import reaches this module through repro.exec.
+    from ..analysis.lint import discover_files
+
     digest = hashlib.sha256()
     for file_path in discover_files(roots):
         resolved = file_path.resolve()

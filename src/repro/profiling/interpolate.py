@@ -11,6 +11,10 @@ gridded samples of one metric over the resource space, an
   grid's bounding box for out-of-range queries;
 - N-D scattered: linear barycentric (``scipy.interpolate.griddata``) with
   nearest-neighbour fallback outside the convex hull.
+
+scipy is imported on the first N-D build, not with this module: the
+constant and 1-D kinds, and every process that never builds an N-D
+interpolator, run without it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator, RegularGridInterpolator
 
 __all__ = ["Interpolator", "InterpolationError"]
 
@@ -92,6 +95,12 @@ class Interpolator:
             self._predict = predict_1d
             self.kind = "linear-1d"
             return
+        from scipy.interpolate import (
+            LinearNDInterpolator,
+            NearestNDInterpolator,
+            RegularGridInterpolator,
+        )
+
         axes = _detect_grid(self.X)
         if axes is not None and all(len(a) >= 2 for a in axes):
             shape = tuple(len(a) for a in axes)

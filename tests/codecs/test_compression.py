@@ -1,10 +1,13 @@
 """Tests for LZW, RLE/MTF, and codec models (incl. property-based)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.visualization.images import measured_codec_ratios
 from repro.codecs import (
     BZ2,
     CODECS,
@@ -114,6 +117,71 @@ def test_mtf_stabilizes_repeated_bytes():
     encoded = mtf_encode(b"aaaaab")
     # After the first 'a', repeats encode as index 0.
     assert encoded[1:5] == b"\x00\x00\x00\x00"
+
+
+# ------------------------------------------------------------ byte pins
+#
+# sha256 of each codec's output on two fixed inputs: the 64 KiB pyramid
+# bytes that calibrate the analytic image model, and a seeded input long
+# enough to fill the LZW dictionary (2**16 codes) and freeze it.  Any
+# rewrite of the codecs must keep these bytes.
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _calibration_bytes() -> bytes:
+    return WaveletPyramid(synthetic_image(256, seed=0), levels=3).region_bytes(
+        3, 0, 0, 256, 256
+    )
+
+
+def _freezing_bytes() -> bytes:
+    rng = np.random.default_rng(1)
+    return rng.integers(0, 16, size=300000, dtype=np.uint8).tobytes()
+
+
+_PINS = {
+    "calibration": (
+        _calibration_bytes,
+        "f282a0ec406cc5e144f64a4e2c91dd69ccd4b2bfde952534eee0f8e63081e851",
+        {
+            "lzw": "3050b1f8d399438d9218ef84a89b6410477c05a796b4cba81de8c01b68adc31d",
+            "mtf": "2e0163dbb021d45e1af02f9c1b5f71b13fb34d696c18addbf8119fc33a4d4851",
+            "mtf-rle": "dd38d4d603ab16a02180ef71fdab02e0d1a2f1a6da5980cae39f8d150604c547",
+        },
+    ),
+    "freezing": (
+        _freezing_bytes,
+        "8dc20fcc4438d49119acd3a3f25f007292ece1218b12f592fe1d6de7d7528dbe",
+        {
+            "lzw": "c12cab89a8a8c7f31dbdf3623485785aa06ca84ea70ee77990ad69e250a45ffc",
+            "mtf": "1b1f381a4ac7840ed9aa1ee6db8c5fc0693aa29106bd23628e06ea11bbdeb4c4",
+            "mtf-rle": "0bfa29137963024e25ad14d5b4e77f50bd1ae73ff4680fac12375d4299db1318",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_codec_output_bytes_pinned(name):
+    make, input_sha, outputs = _PINS[name]
+    data = make()
+    assert _sha(data) == input_sha
+    encoded = mtf_encode(data)
+    assert _sha(lzw_compress(data)) == outputs["lzw"]
+    assert _sha(encoded) == outputs["mtf"]
+    assert _sha(rle_compress(encoded)) == outputs["mtf-rle"]
+    assert mtf_decode(encoded) == data
+
+
+def test_measured_codec_ratios_pinned():
+    assert measured_codec_ratios() == {
+        "none": 1.0,
+        "lzw": 2.169778837240101,
+        "bzip2": 3.885456809153969,
+        "mtf-rle": 0.6748774560283396,
+    }
 
 
 # ----------------------------------------------------------------- models

@@ -112,3 +112,60 @@ def test_1d_interpolation_exact_at_samples_property(samples):
     interp = Interpolator(X, y)
     for (x, v) in samples:
         assert interp([x]) == pytest.approx(v, abs=1e-6 * (1 + abs(v)))
+
+
+# Each interpolator kind pinned bit-for-bit on fixed samples and queries.
+# The N-D kinds go through scipy; these values guard where it is imported.
+_KIND_PINS = [
+    (
+        [[1.0, 2.0]],
+        [3.5],
+        "constant",
+        [([0.0, 0.0], 3.5), ([1.0, 2.0], 3.5), ([7.5, -1.0], 3.5)],
+    ),
+    (
+        [[0.0], [1.0], [3.0], [4.0]],
+        [1.0, 3.0, 2.0, 5.5],
+        "linear-1d",
+        [
+            ([-1.0], -1.0),
+            ([0.0], 1.0),
+            ([0.5], 2.0),
+            ([2.2], 2.4),
+            ([3.0], 2.0),
+            ([4.0], 5.5),
+            ([6.25], 13.375),
+        ],
+    ),
+    (
+        [[x, y] for x in (0.0, 1.0, 3.0) for y in (10.0, 20.0)],
+        [0.1 * x + 0.37 * y + 0.05 * x * y for x in (0.0, 1.0, 3.0) for y in (10.0, 20.0)],
+        "multilinear-grid",
+        [
+            ([0.5, 12.5], 4.987500000000001),
+            ([2.0, 17.0], 8.190000000000001),
+            ([-1.0, 15.0], 5.550000000000001),
+            ([4.0, 25.0], 10.700000000000001),
+            ([3.0, 20.0], 10.700000000000001),
+        ],
+    ),
+    (
+        [[0.0, 0.0], [1.0, 0.1], [0.2, 1.0], [1.3, 1.2], [0.6, 0.5], [2.0, 0.7]],
+        [1.0, 2.0, 1.5, 3.1, 0.7, 2.9],
+        "scattered",
+        [
+            ([0.5, 0.4], 0.7840909090909091),
+            ([1.0, 0.8], 2.0625),
+            ([0.3, 0.3], 0.8859999999999999),
+            ([3.0, 3.0], 3.1),  # outside the hull: nearest neighbour
+            ([-1.0, 0.2], 1.0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("X, y, kind, queries", _KIND_PINS, ids=[p[2] for p in _KIND_PINS])
+def test_kind_and_predictions_pinned(X, y, kind, queries):
+    interp = Interpolator(X, y)
+    assert interp.kind == kind
+    assert [interp(q) for q, _ in queries] == [v for _, v in queries]
