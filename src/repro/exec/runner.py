@@ -31,6 +31,7 @@ simulation.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
@@ -232,7 +233,8 @@ class ParallelRunner:
 
     def _run_pool(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
         ctx = mp.get_context("spawn")
-        n_workers = min(self.jobs, len(specs))
+        # More workers than CPUs only adds spawned start-ups that then wait.
+        n_workers = min(self.jobs, len(specs), os.cpu_count() or 1)
         pending = deque((spec, 0) for spec in specs)
         results: Dict[str, JobResult] = {}
         workers: List[_Worker] = [self._spawn(ctx) for _ in range(n_workers)]

@@ -12,9 +12,16 @@ gridded samples of one metric over the resource space, an
 - N-D scattered: linear barycentric (``scipy.interpolate.griddata``) with
   nearest-neighbour fallback outside the convex hull.
 
-scipy is imported on the first N-D build, not with this module: the
-constant and 1-D kinds, and every process that never builds an N-D
-interpolator, run without it.
+Flat samples, where some axis holds a single value (a vary-one-axis
+sweep), span no N-D volume: Qhull cannot triangulate them, so every
+query is answered by the nearest sample.  That lookup runs in numpy over
+the same squared distances scipy's k-d tree compares; only an exact tie
+is handed to scipy's :class:`~scipy.interpolate.NearestNDInterpolator`,
+so its tie-breaking decides.
+
+scipy is imported on the first N-D build that needs it, not with this
+module: the constant, 1-D and flat kinds, and every process that never
+builds another N-D interpolator, run without it.
 """
 
 from __future__ import annotations
@@ -94,6 +101,28 @@ class Interpolator:
 
             self._predict = predict_1d
             self.kind = "linear-1d"
+            return
+        if (self.X == self.X[0]).all(axis=0).any():
+            # Flat: the scattered path below could only ever answer by
+            # nearest neighbour, so skip the Qhull build that must fail.
+            X, y = self.X, self.y
+            tie_break = None
+
+            def predict_flat(q: np.ndarray) -> float:
+                nonlocal tie_break
+                # Summed over every axis, in axis order, as cKDTree does.
+                d = ((X - q) ** 2).sum(axis=1)
+                i = int(d.argmin())
+                if np.count_nonzero(d == d[i]) == 1:
+                    return float(y[i])
+                if tie_break is None:  # exact tie (or a non-finite query)
+                    from scipy.interpolate import NearestNDInterpolator
+
+                    tie_break = NearestNDInterpolator(X, y)
+                return float(tie_break(q[None, :])[0])
+
+            self._predict = predict_flat
+            self.kind = "scattered"
             return
         from scipy.interpolate import (
             LinearNDInterpolator,

@@ -17,8 +17,8 @@ Scene entries whose builder also accepts ``tiebreak`` and
 ``detect_races``.
 
 The table holds strings and this module imports only the standard
-library: ``repro.sim`` imports it (through ``repro.obs``), so a builder
-is imported only when its name is resolved.
+library, so importing it (``repro.obs`` re-exports it) loads no builder:
+a builder is imported only when its name is resolved.
 """
 
 from __future__ import annotations

@@ -56,6 +56,34 @@ def test_parallel_runs_in_worker_processes():
     assert os.getpid() not in pids  # really executed in spawned workers
 
 
+def test_workers_capped_at_cpu_count(monkeypatch):
+    """On one CPU a ``jobs=4`` sweep spawns a single worker, and what it
+    returns is byte-identical to the serial run."""
+    import json
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    spawned = []
+    spawn = ParallelRunner._spawn
+
+    def counting_spawn(self, ctx):
+        spawned.append(ctx)
+        return spawn(self, ctx)
+
+    monkeypatch.setattr(ParallelRunner, "_spawn", counting_spawn)
+    specs = [_spec(f"{i:02d}", kind="tests.exec._jobs:echo", i=i) for i in range(5)]
+
+    def dump(results):
+        return json.dumps(
+            {k: [r.ok, r.value, r.error, r.attempts] for k, r in results.items()},
+            sort_keys=True,
+        )
+
+    parallel = ParallelRunner(jobs=4).run(specs)
+    assert len(spawned) == 1
+    assert dump(parallel) == dump(ParallelRunner(jobs=1).run(specs))
+
+
 def test_adversarial_completion_order_still_merges_by_key():
     """First-keyed jobs sleep longest, so completion order inverts key
     order — the merged values must still follow key order exactly."""

@@ -1,5 +1,6 @@
 """Tests for the interpolation engines."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,3 +170,51 @@ def test_kind_and_predictions_pinned(X, y, kind, queries):
     interp = Interpolator(X, y)
     assert interp.kind == kind
     assert [interp(q) for q, _ in queries] == [v for _, v in queries]
+
+
+# Flat samples: some axis holds one value (a vary-one-axis sweep).  Half
+# steps put exact midpoint ties and duplicate locations within reach.
+_half_steps = st.integers(min_value=-6, max_value=6).map(lambda k: k * 0.5)
+
+
+@st.composite
+def _flat_samples(draw):
+    ndim = draw(st.integers(min_value=2, max_value=3))
+    n_const = draw(st.integers(min_value=1, max_value=ndim - 1))
+    const_axes = set(draw(st.permutations(range(ndim)))[:n_const])
+    const = {j: draw(_half_steps) for j in const_axes}
+    coord = st.one_of(_half_steps, st.floats(-4.0, 4.0, allow_nan=False))
+    rows = draw(st.lists(
+        st.tuples(*[st.just(const[j]) if j in const else coord for j in range(ndim)]),
+        min_size=1, max_size=24,
+    ))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))  # duplicates
+    y = draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=len(rows), max_size=len(rows),
+    ))
+    queries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        mid = [(u + v) / 2 for u, v in zip(a, b)]  # a tie when a != b
+        off = draw(st.sampled_from([0.0, 0.75, -2.5]))  # off the constant value
+        queries.append([m + off if j in const else m for j, m in enumerate(mid)])
+        queries.append(list(draw(st.tuples(*[coord] * ndim))))
+    return [list(r) for r in rows], y, queries
+
+
+@given(_flat_samples())
+@settings(max_examples=150, deadline=None)
+def test_flat_samples_answer_as_scipy_nearest(sample):
+    # Flat samples skip the Qhull build, so they must answer exactly as the
+    # scipy nearest-neighbour lookup the scattered path would fall back to.
+    from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
+    from scipy.spatial import QhullError
+
+    X, y, queries = sample
+    interp = Interpolator(X, y)
+    with pytest.raises(QhullError):
+        LinearNDInterpolator(interp.X, interp.y)
+    nearest = NearestNDInterpolator(interp.X, interp.y)
+    for q in queries:
+        q = np.asarray(q)
+        assert interp(q) == float(nearest(q[None])[0])

@@ -3,7 +3,8 @@
 Start-up cost is paid by every process: the CLI, each benchmark run and
 each worker of the sweep pool.  scipy and ``repro.analysis`` are imported
 inside the functions that use them; these tests fail when a module-level
-import brings one of them back into ``import repro.experiments``.
+import brings one of them back into ``import repro.experiments``, or when
+an adaptive run (whose performance database is flat) loads scipy.
 """
 
 import json
@@ -15,12 +16,12 @@ from pathlib import Path
 HEAVY = ("scipy", "networkx", "repro.analysis")
 
 
-def _loaded_after(code: str) -> list:
-    """Heavy packages in ``sys.modules`` after running ``code`` fresh."""
+def _loaded_after(code: str, packages=HEAVY) -> list:
+    """Which of ``packages`` are in ``sys.modules`` after running ``code`` fresh."""
     probe = (
         code
         + "\nimport json, sys\n"
-        + f"print(json.dumps(sorted(p for p in {HEAVY!r}"
+        + f"print(json.dumps(sorted(p for p in {tuple(packages)!r}"
         + " if p in sys.modules or any(m.startswith(p + '.') for m in sys.modules))))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -58,3 +59,33 @@ def test_scattered_interpolator_loads_scipy():
         "f([0.2, 0.2])\n"
     )
     assert _loaded_after(code) == ["scipy"]
+
+
+def test_flat_interpolator_runs_without_scipy():
+    # A vary-one-axis database (second axis fixed) cannot be triangulated;
+    # it is answered by nearest neighbour without scipy, ties aside.
+    code = (
+        "from repro.profiling import Interpolator\n"
+        "f = Interpolator([[0.0, 1.0], [1.0, 1.0], [3.0, 1.0]], [5.0, 6.0, 7.0])\n"
+        "assert f.kind == 'scattered'\n"
+        "assert f([0.4, 2.0]) == 5.0 and f([2.5, 0.0]) == 7.0\n"
+    )
+    assert _loaded_after(code) == []
+
+
+def test_chaos_run_loads_no_scipy():
+    code = "from repro.experiments import run_chaos\nrun_chaos(seed=0)\n"
+    assert "scipy" not in _loaded_after(code)
+
+
+def test_experiments_import_leaves_obs_tools_unloaded():
+    # The kernel's tracer imports repro.obs; its viewers load on first use.
+    tools = ("repro.obs.dash", "repro.obs.interactive", "repro.obs.report")
+    assert _loaded_after("import repro.experiments", tools) == []
+
+
+def test_every_obs_export_resolves():
+    import repro.obs
+
+    for name in repro.obs.__all__:
+        assert getattr(repro.obs, name) is not None, name
