@@ -1,8 +1,20 @@
-"""Evaluation applications: toy loop, active visualization, streaming."""
+"""Evaluation applications: toy loop, active visualization, streaming.
 
-from .membound import MemWorkload, make_membound_app
-from .streaming import QUALITY_BYTES, StreamWorkload, make_streaming_app
-from .toy import TOY_HOST, make_toy_app
+The names below load from their defining module on first access (PEP
+562), so a toy-app run loads neither the streaming nor the memory-bound
+app, nor the codecs they pull in.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        ".membound": ("MemWorkload", "make_membound_app"),
+        ".streaming": ("QUALITY_BYTES", "StreamWorkload", "make_streaming_app"),
+        ".toy": ("TOY_HOST", "make_toy_app"),
+    },
+)
 
 __all__ = [
     "make_toy_app",

@@ -30,19 +30,20 @@ simulation.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as conn_wait
 
 # Host-side timing of worker processes (timeouts, utilization); never
 # enters the simulated world.
 from time import perf_counter  # repro: allow[DET101] -- host-side job timing
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from .job import JobSpec, resolve_job
+
+if TYPE_CHECKING:
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "JobResult",
@@ -107,7 +108,7 @@ def _take_published_usage() -> Any:
 class _Worker:
     """Parent-side view of one worker process."""
 
-    proc: mp.process.BaseProcess
+    proc: BaseProcess
     conn: Any
     current: Optional[JobSpec] = None
     attempts: int = 0
@@ -232,6 +233,10 @@ class ParallelRunner:
             worker.proc.join(timeout=5.0)
 
     def _run_pool(self, specs: List[JobSpec]) -> Dict[str, JobResult]:
+        # Only the pool path loads multiprocessing: a serial sweep never
+        # pays for it.
+        import multiprocessing as mp
+
         ctx = mp.get_context("spawn")
         # More workers than CPUs only adds spawned start-ups that then wait.
         n_workers = min(self.jobs, len(specs), os.cpu_count() or 1)
@@ -248,7 +253,7 @@ class ParallelRunner:
                         "sweep stalled: jobs remain but no worker holds one"
                     )
                 self._collect(busy, results)
-                self._expire(workers, pending, results)
+                self._expire(workers, pending, results, ctx)
             return results
         finally:
             elapsed = perf_counter() - t_start  # repro: allow[DET101] -- host-side job timing
@@ -294,6 +299,8 @@ class ParallelRunner:
 
     def _collect(self, busy: List[_Worker], results: Dict[str, JobResult]) -> None:
         """Wait briefly for any busy worker to report, then drain it."""
+        from multiprocessing.connection import wait as conn_wait
+
         ready = conn_wait([w.conn for w in busy], timeout=_POLL_INTERVAL)
         ready_set = {id(c) for c in ready}
         for worker in busy:
@@ -327,7 +334,7 @@ class ParallelRunner:
             )
 
     def _expire(
-        self, workers: List[_Worker], pending, results: Dict[str, JobResult]
+        self, workers: List[_Worker], pending, results: Dict[str, JobResult], ctx
     ) -> None:
         """Reap crashed workers and enforce per-job deadlines."""
         now = perf_counter()  # repro: allow[DET101] -- host-side job timing
@@ -355,7 +362,7 @@ class ParallelRunner:
             worker.busy_total += max(0.0, now - worker.busy_since)
             attempts = worker.attempts
             self._retire(worker, kill=True)
-            workers[i] = self._spawn(ctx=mp.get_context("spawn"))
+            workers[i] = self._spawn(ctx)
             if attempts <= self.retries:
                 self.retried += 1
                 pending.appendleft((spec, attempts))

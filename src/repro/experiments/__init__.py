@@ -1,31 +1,44 @@
-"""Experiment harness: one module per paper figure, plus ablations."""
+"""Experiment harness: one module per paper figure, plus ablations.
 
-from .ablations import (
-    hysteresis_ablation,
-    isolation_ablation,
-    limiter_mode_ablation,
-    sampling_strategy_ablation,
-    scheduler_interpolation_ablation,
-)
-from .chaos import DEFAULT_FAULT_SPEC, DEFAULT_VARIATIONS, run_chaos
-from .common import FigureResult, Series, ascii_plot, render_table
-from .crowd import crowd_cell, run_crowd, run_crowd_figure
-from .extension_memory import memory_database, run_memory_adaptation
-from .fig3 import run_fig3a, run_fig3b
-from .fig4 import run_fig4a, run_fig4b
-from .fig5 import fig5_database, run_fig5
-from .fig6 import fig6a_database, fig6b_database, run_fig6a, run_fig6b
-from .recovery import (
-    CHEAP_CONFIG,
-    DEFAULT_CROWD,
-    DEFAULT_RECOVERY_FAULTS,
-    run_recovery,
-)
-from .fig7 import (
-    AdaptiveRun,
-    run_experiment1,
-    run_experiment2,
-    run_experiment3,
+Each run imports only its own module graph: the names below load from
+their defining module on first access (PEP 562), so ``import
+repro.experiments`` loads no figure, and a share sweep never loads the
+adaptation runtime, the fault injector or the crowd model.
+"""
+
+from .._lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        ".ablations": (
+            "hysteresis_ablation",
+            "isolation_ablation",
+            "limiter_mode_ablation",
+            "sampling_strategy_ablation",
+            "scheduler_interpolation_ablation",
+        ),
+        ".chaos": ("DEFAULT_FAULT_SPEC", "DEFAULT_VARIATIONS", "run_chaos"),
+        ".common": ("FigureResult", "Series", "ascii_plot", "render_table"),
+        ".crowd": ("crowd_cell", "run_crowd", "run_crowd_figure"),
+        ".extension_memory": ("memory_database", "run_memory_adaptation"),
+        ".fig3": ("run_fig3a", "run_fig3b"),
+        ".fig4": ("run_fig4a", "run_fig4b"),
+        ".fig5": ("fig5_database", "run_fig5"),
+        ".fig6": ("fig6a_database", "fig6b_database", "run_fig6a", "run_fig6b"),
+        ".fig7": (
+            "AdaptiveRun",
+            "run_experiment1",
+            "run_experiment2",
+            "run_experiment3",
+        ),
+        ".recovery": (
+            "CHEAP_CONFIG",
+            "DEFAULT_CROWD",
+            "DEFAULT_RECOVERY_FAULTS",
+            "run_recovery",
+        ),
+    },
 )
 
 __all__ = [

@@ -14,8 +14,7 @@ formats, and a worked causal-timeline example; ``repro trace`` and
 ``repro metrics`` surface all of it on the command line.
 """
 
-import importlib
-
+from .._lazy import lazy_exports
 from .metrics import (
     Counter,
     Gauge,
@@ -29,32 +28,26 @@ from .record import ObsError, SpanRecord, TraceRecorder
 # Every import of the kernel's tracer runs this package, so only the
 # recorder and the metrics load with it; the names below load from their
 # module on first access (PEP 562).
-_LAZY = {
-    ".dash": (
-        "dashboard_cell",
-        "dashboard_cell_from_context",
-        "dashboard_cell_from_run",
-        "load_store_cells",
-        "render_dashboard",
-    ),
-    ".diff": ("DiffResult", "diff_metrics", "diff_traces", "structural_keys"),
-    ".export": ("from_jsonl", "ordered", "summary", "to_chrome", "to_jsonl"),
-    ".interactive": ("InteractiveContext", "ScenarioInspector", "replay"),
-    ".perf": ("KernelProfiler", "to_chrome_profile", "to_folded"),
-    ".query": ("adaptation_chains", "chain", "dwell_times", "timeline"),
-    ".report": ("render_comparison", "render_report"),
-    ".usage": ("UsageAccountant", "owner_label"),
-    "..scenarios": ("SCENARIOS", "register_scenario"),
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name: str):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_HOME[name], __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(
+    globals(),
+    {
+        ".dash": (
+            "dashboard_cell",
+            "dashboard_cell_from_context",
+            "dashboard_cell_from_run",
+            "load_store_cells",
+            "render_dashboard",
+        ),
+        ".diff": ("DiffResult", "diff_metrics", "diff_traces", "structural_keys"),
+        ".export": ("from_jsonl", "ordered", "summary", "to_chrome", "to_jsonl"),
+        ".interactive": ("InteractiveContext", "ScenarioInspector", "replay"),
+        ".perf": ("KernelProfiler", "to_chrome_profile", "to_folded"),
+        ".query": ("adaptation_chains", "chain", "dwell_times", "timeline"),
+        ".report": ("render_comparison", "render_report"),
+        ".usage": ("UsageAccountant", "owner_label"),
+        "..scenarios": ("SCENARIOS", "register_scenario"),
+    },
+)
 
 __all__ = [
     "Counter",

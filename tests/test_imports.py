@@ -2,16 +2,22 @@
 
 Start-up cost is paid by every process: the CLI, each benchmark run and
 each worker of the sweep pool.  scipy and ``repro.analysis`` are imported
-inside the functions that use them; these tests fail when a module-level
-import brings one of them back into ``import repro.experiments``, or when
-an adaptive run (whose performance database is flat) loads scipy.
+inside the functions that use them, and ``repro.experiments``,
+``repro.apps`` and ``repro.obs`` load their exports on first access; these
+tests fail when a module-level import brings a package back into a run
+that does not execute it, or when an adaptive run (whose performance
+database is flat) loads scipy.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 HEAVY = ("scipy", "networkx", "repro.analysis")
 
@@ -89,3 +95,52 @@ def test_every_obs_export_resolves():
 
     for name in repro.obs.__all__:
         assert getattr(repro.obs, name) is not None, name
+
+
+def _submodules(package: str) -> list:
+    path = importlib.import_module(package).__path__
+    return [f"{package}.{info.name}" for info in pkgutil.iter_modules(path)]
+
+
+def test_package_imports_load_no_submodule():
+    for package in ("repro.experiments", "repro.apps"):
+        probe = ("numpy",) + tuple(_submodules(package))
+        assert _loaded_after(f"import {package}", probe) == [], package
+
+
+def test_share_sweep_loads_only_its_own_graph():
+    unused = (
+        "repro.runtime", "repro.recovery", "repro.crowd", "repro.faults",
+        "repro.profiling", "repro.codecs", "multiprocessing",
+    )
+    code = (
+        "from repro.experiments import run_fig3b\n"
+        "run_fig3b(seed=0, shares=(0.5,))\n"
+    )
+    assert _loaded_after(code, unused) == []
+
+
+def test_cli_import_loads_no_numpy():
+    assert _loaded_after("import repro.cli", ("numpy", "repro.experiments")) == []
+
+
+@pytest.mark.parametrize("package", ["repro.experiments", "repro.apps"])
+def test_every_lazy_export_is_its_defining_modules_object(package):
+    pkg = importlib.import_module(package)
+    modules = [importlib.import_module(m) for m in _submodules(package)]
+    for name in pkg.__all__:
+        homes = [m for m in modules if name in getattr(m, "__all__", ())]
+        assert len(homes) == 1, (name, [m.__name__ for m in homes])
+        assert getattr(pkg, name) is getattr(homes[0], name), name
+    namespace = {}
+    exec(f"from {package} import *", namespace)
+    assert set(pkg.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("package", ["repro.experiments", "repro.apps", "repro.obs"])
+def test_unknown_export_raises_attribute_error(package):
+    pkg = importlib.import_module(package)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pkg.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name", {})
