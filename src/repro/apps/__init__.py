@@ -7,21 +7,12 @@ app, nor the codecs they pull in.
 
 from .._lazy import lazy_exports
 
-__getattr__ = lazy_exports(
-    globals(),
-    {
-        ".membound": ("MemWorkload", "make_membound_app"),
-        ".streaming": ("QUALITY_BYTES", "StreamWorkload", "make_streaming_app"),
-        ".toy": ("TOY_HOST", "make_toy_app"),
-    },
-)
+#: defining module -> the names it exports through this package.
+_HOMES = {
+    ".membound": ("MemWorkload", "make_membound_app"),
+    ".streaming": ("QUALITY_BYTES", "StreamWorkload", "make_streaming_app"),
+    ".toy": ("TOY_HOST", "make_toy_app"),
+}
 
-__all__ = [
-    "make_toy_app",
-    "TOY_HOST",
-    "make_streaming_app",
-    "make_membound_app",
-    "MemWorkload",
-    "StreamWorkload",
-    "QUALITY_BYTES",
-]
+__getattr__ = lazy_exports(globals(), _HOMES)
+__all__ = [name for names in _HOMES.values() for name in names]

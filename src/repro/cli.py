@@ -24,72 +24,63 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List
 
+from . import experiments
+
 __all__ = ["main", "TARGETS"]
 
 
-def _resolve(ref: str) -> Callable:
-    """Import and return the ``"module:callable"`` runner ``ref``."""
-    module_name, _, attr = ref.partition(":")
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def _figs(ref: str, *names: str):
+def _figs(export: str, *names: str):
     """Adapter: normalize every runner to name -> list[FigureResult|dict]."""
 
     def run(seed: int) -> List:
-        from .experiments.common import FigureResult
-
-        result = _resolve(ref)(seed=seed)
+        result = getattr(experiments, export)(seed=seed)
         if isinstance(result, tuple):
-            return [r for r in result if isinstance(r, FigureResult)] or [result]
+            return [
+                r for r in result if isinstance(r, experiments.FigureResult)
+            ] or [result]
         return [result]
 
     return names, run
 
 
-def _table(ref: str, name: str):
+def _table(export: str, name: str):
     def run(seed: int) -> List:
-        return [(name, _resolve(ref)(seed=seed))]
+        return [(name, getattr(experiments, export)(seed=seed))]
 
     return (name,), run
 
 
-#: target name -> runner(seed) (aliases share one runner).  Each runner
-#: imports its figure module only when it runs, so ``repro list``,
-#: ``repro lint`` and ``repro check`` load no experiment.
+#: target name -> runner(seed) (aliases share one runner).  Runners are
+#: named by their ``repro.experiments`` export, which loads its figure
+#: module only when the target runs, so ``repro list``, ``repro lint``
+#: and ``repro check`` load no experiment.
 TARGETS: Dict[str, Callable] = {}
 #: Canonical (deduplicated) target list for `all`: each entry's first name.
 CANONICAL: List[str] = []
 for names, runner in (
-    _figs("repro.experiments.fig3:run_fig3a", "fig3a"),
-    _figs("repro.experiments.fig3:run_fig3b", "fig3b"),
-    _figs("repro.experiments.fig4:run_fig4a", "fig4a"),
-    _figs("repro.experiments.fig4:run_fig4b", "fig4b"),
-    _figs("repro.experiments.fig5:run_fig5", "fig5", "fig5a", "fig5b"),
-    _figs("repro.experiments.fig6:run_fig6a", "fig6a"),
-    _figs("repro.experiments.fig6:run_fig6b", "fig6b"),
-    _figs("repro.experiments.fig7:run_experiment1", "fig7a", "exp1"),
-    _figs("repro.experiments.fig7:run_experiment2", "fig7b", "exp2"),
-    _figs(
-        "repro.experiments.fig7:run_experiment3", "fig7cd", "exp3",
-        "fig7c", "fig7d",
-    ),
-    _figs("repro.experiments.chaos:run_chaos", "chaos"),
-    _figs("repro.experiments.recovery:run_recovery", "recovery"),
-    _figs("repro.experiments.crowd:run_crowd_figure", "crowd"),
-    _table(
-        "repro.experiments.ablations:scheduler_interpolation_ablation", "ablation-a1"
-    ),
-    _table("repro.experiments.ablations:sampling_strategy_ablation", "ablation-a2"),
-    _table("repro.experiments.ablations:hysteresis_ablation", "ablation-a3"),
-    _table("repro.experiments.ablations:limiter_mode_ablation", "ablation-a4"),
-    _table("repro.experiments.ablations:isolation_ablation", "ablation-a5"),
+    _figs("run_fig3a", "fig3a"),
+    _figs("run_fig3b", "fig3b"),
+    _figs("run_fig4a", "fig4a"),
+    _figs("run_fig4b", "fig4b"),
+    _figs("run_fig5", "fig5", "fig5a", "fig5b"),
+    _figs("run_fig6a", "fig6a"),
+    _figs("run_fig6b", "fig6b"),
+    _figs("run_experiment1", "fig7a", "exp1"),
+    _figs("run_experiment2", "fig7b", "exp2"),
+    _figs("run_experiment3", "fig7cd", "exp3", "fig7c", "fig7d"),
+    _figs("run_chaos", "chaos"),
+    _figs("run_recovery", "recovery"),
+    _figs("run_crowd_figure", "crowd"),
+    _table("scheduler_interpolation_ablation", "ablation-a1"),
+    _table("sampling_strategy_ablation", "ablation-a2"),
+    _table("hysteresis_ablation", "ablation-a3"),
+    _table("limiter_mode_ablation", "ablation-a4"),
+    _table("isolation_ablation", "ablation-a5"),
 ):
     CANONICAL.append(names[0])
     for name in names:
@@ -97,9 +88,7 @@ for names, runner in (
 
 
 def _emit(item, out_dir: Path = None, plot: bool = True) -> None:
-    from .experiments.common import FigureResult
-
-    if isinstance(item, FigureResult):
+    if isinstance(item, experiments.FigureResult):
         text = item.render(plot=plot)
         print(text)
         if out_dir is not None:

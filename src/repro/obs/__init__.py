@@ -28,65 +28,33 @@ from .record import ObsError, SpanRecord, TraceRecorder
 # Every import of the kernel's tracer runs this package, so only the
 # recorder and the metrics load with it; the names below load from their
 # module on first access (PEP 562).
-__getattr__ = lazy_exports(
-    globals(),
-    {
-        ".dash": (
-            "dashboard_cell",
-            "dashboard_cell_from_context",
-            "dashboard_cell_from_run",
-            "load_store_cells",
-            "render_dashboard",
-        ),
-        ".diff": ("DiffResult", "diff_metrics", "diff_traces", "structural_keys"),
-        ".export": ("from_jsonl", "ordered", "summary", "to_chrome", "to_jsonl"),
-        ".interactive": ("InteractiveContext", "ScenarioInspector", "replay"),
-        ".perf": ("KernelProfiler", "to_chrome_profile", "to_folded"),
-        ".query": ("adaptation_chains", "chain", "dwell_times", "timeline"),
-        ".report": ("render_comparison", "render_report"),
-        ".usage": ("UsageAccountant", "owner_label"),
-        "..scenarios": ("SCENARIOS", "register_scenario"),
-    },
-)
+_HOMES = {
+    ".dash": (
+        "dashboard_cell",
+        "dashboard_cell_from_context",
+        "dashboard_cell_from_run",
+        "load_store_cells",
+        "render_dashboard",
+    ),
+    ".diff": ("DiffResult", "diff_metrics", "diff_traces", "structural_keys"),
+    ".export": ("from_jsonl", "ordered", "summary", "to_chrome", "to_jsonl"),
+    ".interactive": ("InteractiveContext", "ScenarioInspector", "replay"),
+    ".perf": ("KernelProfiler", "to_chrome_profile", "to_folded"),
+    ".query": ("adaptation_chains", "chain", "dwell_times", "timeline"),
+    ".report": ("render_comparison", "render_report"),
+    ".usage": ("UsageAccountant", "owner_label"),
+    "..scenarios": ("SCENARIOS", "register_scenario"),
+}
 
+__getattr__ = lazy_exports(globals(), _HOMES)
 __all__ = [
     "Counter",
-    "DiffResult",
     "Gauge",
     "Histogram",
-    "InteractiveContext",
-    "KernelProfiler",
     "MetricError",
     "MetricsRegistry",
     "ObsError",
-    "SCENARIOS",
-    "ScenarioInspector",
     "SpanRecord",
     "TimeSeries",
     "TraceRecorder",
-    "UsageAccountant",
-    "adaptation_chains",
-    "chain",
-    "dashboard_cell",
-    "dashboard_cell_from_context",
-    "dashboard_cell_from_run",
-    "diff_metrics",
-    "diff_traces",
-    "dwell_times",
-    "from_jsonl",
-    "load_store_cells",
-    "ordered",
-    "owner_label",
-    "register_scenario",
-    "render_comparison",
-    "render_dashboard",
-    "render_report",
-    "replay",
-    "structural_keys",
-    "summary",
-    "timeline",
-    "to_chrome",
-    "to_chrome_profile",
-    "to_folded",
-    "to_jsonl",
-]
+] + [name for names in _HOMES.values() for name in names]

@@ -42,8 +42,17 @@ def _loaded_after(code: str, packages=HEAVY) -> list:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+# ``import repro.experiments`` loads no figure module, so the probes
+# that guard module-level imports load every one of them.
+ALL_EXPERIMENT_MODULES = (
+    "import importlib, pkgutil, repro.experiments\n"
+    "for info in pkgutil.iter_modules(repro.experiments.__path__):\n"
+    "    importlib.import_module('repro.experiments.' + info.name)\n"
+)
+
+
 def test_experiments_import_loads_no_heavy_package():
-    assert _loaded_after("import repro.experiments") == []
+    assert _loaded_after(ALL_EXPERIMENT_MODULES) == []
 
 
 def test_1d_interpolator_runs_without_scipy():
@@ -87,7 +96,8 @@ def test_chaos_run_loads_no_scipy():
 def test_experiments_import_leaves_obs_tools_unloaded():
     # The kernel's tracer imports repro.obs; its viewers load on first use.
     tools = ("repro.obs.dash", "repro.obs.interactive", "repro.obs.report")
-    assert _loaded_after("import repro.experiments", tools) == []
+    assert "repro.obs" in _loaded_after(ALL_EXPERIMENT_MODULES, ("repro.obs",))
+    assert _loaded_after(ALL_EXPERIMENT_MODULES, tools) == []
 
 
 def test_every_obs_export_resolves():
@@ -121,7 +131,8 @@ def test_share_sweep_loads_only_its_own_graph():
 
 
 def test_cli_import_loads_no_numpy():
-    assert _loaded_after("import repro.cli", ("numpy", "repro.experiments")) == []
+    probe = ("numpy",) + tuple(_submodules("repro.experiments"))
+    assert _loaded_after("import repro.cli", probe) == []
 
 
 @pytest.mark.parametrize("package", ["repro.experiments", "repro.apps"])
@@ -132,6 +143,7 @@ def test_every_lazy_export_is_its_defining_modules_object(package):
         homes = [m for m in modules if name in getattr(m, "__all__", ())]
         assert len(homes) == 1, (name, [m.__name__ for m in homes])
         assert getattr(pkg, name) is getattr(homes[0], name), name
+    assert len(set(pkg.__all__)) == len(pkg.__all__), package
     namespace = {}
     exec(f"from {package} import *", namespace)
     assert set(pkg.__all__) <= set(namespace)
