@@ -9,7 +9,7 @@ Three guarantees the observability subsystem advertises
   reads).
 * **Zero perturbation (accounting)** — the same holds with the
   :class:`~repro.obs.UsageAccountant` attached: usage accounting
-  piggybacks on the step hook and the fluid-share work taps, so it
+  piggybacks on a kernel step observer and the fluid-share work taps, so it
   observes every served-work delta without scheduling anything.
 * **Bounded overhead** — tracing alone costs < 15 % wall clock over the
   bare run, and the *full* observability stack (tracing + usage

@@ -29,7 +29,10 @@ adaptation), and the recovery run (supervision + checkpoints + failover)
 * **layer microbenchmarks** — ns per operation of five kernel paths run
   alone (``*_ns`` fields): a timeout-yield loop, succeed→resume,
   spawn→exit, a ``Store`` ping-pong round trip and a one-job fluid
-  submit→done.  Best of interleaved rounds, each a fresh simulator.
+  submit→done.  The timeout-yield loop runs a second time with one
+  no-op step observer attached (``timeout_yield_observed_ns``); the
+  difference is the kernel's dispatch cost per attached observer.  Best
+  of interleaved rounds, each a fresh simulator.
 
 Headline numbers land in ``benchmarks/out/BENCH_sim.json``; the
 committed copy is the baseline ``repro bench check`` compares against
@@ -68,8 +71,10 @@ def _workload(profiler=None):
     run_recovery(seed=0, profiler=profiler)
 
 
-def _timeout_yield():
+def _timeout_yield(observed=False):
     sim = Simulator()
+    if observed:
+        sim.observe(lambda t, prio, seq, event: None)
 
     def loop():
         for _ in range(_MICRO_OPS):
@@ -145,6 +150,7 @@ def _fluid_submit_done():
 
 _MICRO = (
     ("timeout_yield_ns", _timeout_yield),
+    ("timeout_yield_observed_ns", lambda: _timeout_yield(observed=True)),
     ("succeed_resume_ns", _succeed_resume),
     ("spawn_exit_ns", _spawn_exit),
     ("store_pingpong_ns", _store_pingpong),

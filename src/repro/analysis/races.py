@@ -12,7 +12,7 @@ ordering between the two accesses other than the queue's arrival order.
 :class:`RaceDetector` is opt-in instrumentation over a
 :class:`~repro.sim.core.Simulator`:
 
-* :meth:`attach` installs a step hook recording which scheduled event
+* :meth:`attach` adds a step observer recording which scheduled event
   (time, priority, FIFO sequence) is currently executing, and a push hook
   recording which step scheduled each event (its causal parent);
 * :meth:`watch_store` / :meth:`watch_mapping` / :meth:`record` declare
@@ -195,12 +195,12 @@ class RaceDetector:
 
     # -- lifecycle -------------------------------------------------------
     def attach(self) -> "RaceDetector":
+        if self._attached:
+            return self
         sim = self.sim
-        if sim.step_hook is not None and sim.step_hook is not self._on_step:
-            raise RuntimeError("simulator already has a step hook installed")
-        if sim.push_hook is not None and sim.push_hook != self._on_push:
+        if sim.push_hook is not None:
             raise RuntimeError("simulator already has a push hook installed")
-        sim.step_hook = self._on_step
+        sim.observe(self._on_step)
         # While the push hook is set, every push goes through
         # Simulator._enqueue, which calls it once per event.
         sim.push_hook = self._on_push
@@ -209,7 +209,7 @@ class RaceDetector:
 
     def detach(self) -> "RaceDetector":
         if self._attached:
-            self.sim.step_hook = None
+            self.sim.unobserve(self._on_step)
             self.sim.push_hook = None
             self._attached = False
         return self

@@ -92,6 +92,7 @@ def measure_cell(payload: Mapping, seed: int) -> dict:
     """
     # Imported here so that spawned workers running non-profiling jobs
     # never pay the numpy/scipy import behind the profiling package.
+    from ..obs import Instruments
     from ..profiling import ProfilingDriver, ResourcePoint
     from ..tunable import Configuration
 
@@ -109,7 +110,7 @@ def measure_cell(payload: Mapping, seed: int) -> dict:
         mode=payload.get("mode", "ideal"),
         seed=seed,
         max_run_time=float(payload.get("max_run_time", 3600.0)),
-        usage=usage,
+        instruments=Instruments(usage=usage),
     )
     record = driver.measure(
         Configuration(payload["config"]), ResourcePoint(payload["point"])

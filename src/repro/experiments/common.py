@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exec import sweep_cells
+from ..obs import Instruments
 from .scene import Scene
 
 __all__ = [
@@ -30,8 +31,6 @@ __all__ = [
     "viz_preference",
     "viz_initial_point",
     "build_adaptive_viz",
-    "attach_instrumentation",
-    "detach_instrumentation",
     "closed_loop_viz_user",
 ]
 
@@ -276,6 +275,7 @@ def build_adaptive_viz(
         host_specs=app.env.host_specs(), link_specs=app.env.link_specs(),
         seed=seed, tiebreak=tiebreak,
     )
+    instruments = Instruments(recorder, usage, profiler)
     detector = None
 
     def _finalize():
@@ -286,13 +286,13 @@ def build_adaptive_viz(
         if detector is not None:
             payload["races"] = [r.to_dict() for r in detector.finish()]
             detector.detach()
-        detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+        instruments.detach()
         return figure, payload
 
     scene = Scene(
         name=name, seed=seed, until=until, testbed=testbed,
         finalize=_finalize, controller=controller, config=config,
-        recorder=recorder, usage=usage, profiler=profiler,
+        instruments=instruments,
     )
     scene.workload = workload(scene)
     scene.rt = rt = app.instantiate(
@@ -342,12 +342,7 @@ def build_adaptive_viz(
         if watch is not None:
             watch(scene, detector)
 
-    # The race detector refuses to attach over an existing step_hook, so it
-    # goes first; the accountant and the recorder chain whatever they find.
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
+    instruments.attach(testbed, config)
 
     def vary():
         for at, client_limits in variations:
@@ -392,35 +387,6 @@ def _session_payload(scene: Scene) -> Dict:
             "server_updates_received": scene.server_exchange.updates_received,
         }
     return payload
-
-
-def attach_instrumentation(sim, testbed, config, usage=None, recorder=None,
-                           profiler=None):
-    """Attach passive observers in the canonical order.
-
-    Usage accounting chains the step hook first, the recorder binds last,
-    and the profiler hangs off ``sim.perf`` independently.
-    """
-    if usage is not None:
-        usage.attach(sim)
-        usage.track_testbed(testbed)
-        usage.set_config(config.label(), t=sim.now)
-    if recorder is not None:
-        recorder.bind(sim)
-    if profiler is not None:
-        profiler.attach(sim)
-
-
-def detach_instrumentation(usage=None, recorder=None, profiler=None):
-    """Finish and detach whatever ``attach_instrumentation`` installed."""
-    if recorder is not None:
-        recorder.finish()
-        recorder.unbind()
-    if usage is not None:
-        usage.finish()
-        usage.detach()
-    if profiler is not None:
-        profiler.detach()
 
 
 def closed_loop_viz_user(rt, workload, model, uid, spec, seed, stats,

@@ -15,6 +15,7 @@ from typing import Dict, Tuple
 
 from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
 from ..exec import AppSpec, default_engine
+from ..obs import Instruments
 from ..profiling import (
     ProfilingDriver,
     ResourceDimension,
@@ -25,12 +26,7 @@ from ..profiling import (
 from ..sandbox import ResourceLimits, Testbed
 from ..sim import derive_seed
 from ..tunable import Configuration
-from .common import (
-    FigureResult,
-    attach_instrumentation,
-    build_adaptive_viz,
-    detach_instrumentation,
-)
+from .common import FigureResult, build_adaptive_viz
 from .scene import Scene, scene_runner
 
 __all__ = [
@@ -95,17 +91,16 @@ def fig5_database(
         workload="repro.experiments.fig5:exp3_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    instruments = Instruments(recorder, usage, profiler)
+    if engine is None and not instruments:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": dr, "c": "lzw", "l": 4}) for dr in fovea_sizes
@@ -150,10 +145,7 @@ def build_fig5_cell(
         detector = RaceDetector(testbed.sim).attach()
         for host_name in sorted(testbed.hosts):
             watch(detector, testbed.hosts[host_name])
-    attach_instrumentation(
-        testbed.sim, testbed, config,
-        usage=usage, recorder=recorder, profiler=profiler,
-    )
+    instruments = Instruments(recorder, usage, profiler).attach(testbed, config)
     workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
     rt = app.instantiate(
         testbed,
@@ -178,13 +170,12 @@ def build_fig5_cell(
         if detector is not None:
             payload["races"] = [r.to_dict() for r in detector.finish()]
             detector.detach()
-        detach_instrumentation(usage=usage, recorder=recorder, profiler=profiler)
+        instruments.detach()
         return None, payload
 
     return Scene(
         name="fig5-cell", seed=seed, until=600.0, testbed=testbed,
-        finalize=_finalize, rt=rt, workload=workload,
-        recorder=recorder, usage=usage, profiler=profiler,
+        finalize=_finalize, rt=rt, workload=workload, instruments=instruments,
     )
 
 

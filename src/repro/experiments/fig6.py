@@ -14,6 +14,7 @@ from typing import Tuple
 
 from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
 from ..exec import AppSpec, default_engine
+from ..obs import Instruments
 from ..profiling import (
     ProfilingDriver,
     ResourceDimension,
@@ -77,17 +78,16 @@ def fig6a_database(
         workload="repro.experiments.fig6:exp1_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    instruments = Instruments(recorder, usage, profiler)
+    if engine is None and not instruments:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": 320, "c": codec, "l": 4}) for codec in ("lzw", "bzip2")
@@ -118,17 +118,16 @@ def fig6b_database(
         workload="repro.experiments.fig6:exp2_workload",
         workload_kwargs={"n_images": n_images},
     )
-    if engine is None and recorder is None and usage is None and profiler is None:
+    instruments = Instruments(recorder, usage, profiler)
+    if engine is None and not instruments:
         engine = default_engine()
     driver = ProfilingDriver(
         app,
         dims,
         workload_factory=app_spec.build_workload_factory(),
         seed=seed,
-        recorder=recorder,
         app_spec=app_spec,
-        usage=usage,
-        profiler=profiler,
+        instruments=instruments,
     )
     configs = [
         Configuration({"dR": 320, "c": "lzw", "l": level}) for level in (3, 4)

@@ -23,6 +23,8 @@ import functools
 import inspect
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..obs import Instruments
+
 __all__ = ["Scene", "scene_runner"]
 
 
@@ -51,9 +53,7 @@ class Scene:
         client_exchange=None,
         server_exchange=None,
         crowd=None,
-        recorder=None,
-        usage=None,
-        profiler=None,
+        instruments: Instruments = Instruments(),
     ):
         self.name = name
         self.seed = seed
@@ -73,9 +73,8 @@ class Scene:
         self.client_exchange = client_exchange
         self.server_exchange = server_exchange
         self.crowd = crowd
-        self.recorder = recorder
-        self.usage = usage
-        self.profiler = profiler
+        #: The run's recorder, usage accountant and kernel profiler.
+        self.instruments = instruments
         self._finalize = finalize
         self.result: Optional[Tuple[Any, Dict]] = None
 

@@ -23,10 +23,11 @@ from .metrics import (
     MetricsRegistry,
     TimeSeries,
 )
+from .instruments import Instruments
 from .record import ObsError, SpanRecord, TraceRecorder
 
 # Every import of the kernel's tracer runs this package, so only the
-# recorder and the metrics load with it; the names below load from their
+# recorder, the metrics and the instrument bundle load with it; the names below load from their
 # module on first access (PEP 562).
 _HOMES = {
     ".dash": (
@@ -51,6 +52,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricError",
     "MetricsRegistry",
     "ObsError",

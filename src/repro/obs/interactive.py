@@ -100,7 +100,7 @@ class ScenarioInspector:
 
     def usage(self) -> Optional[dict]:
         """Utilization account so far (``UsageAccountant.summary()``)."""
-        accountant = self._scene.usage
+        accountant = self._scene.instruments.usage
         if accountant is None:
             return None
         return accountant.summary()

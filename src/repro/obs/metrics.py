@@ -17,7 +17,7 @@ Four metric kinds cover the repo's needs:
   negotiation depth); bucket edges are chosen at creation and never
   change, so merged/compared snapshots always line up;
 - :class:`TimeSeries` — explicit ``(time, value)`` samples, the storage
-  behind :class:`repro.sim.trace.Tracer` probes.
+  behind the usage accountant's utilization series.
 """
 
 from __future__ import annotations

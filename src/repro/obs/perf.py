@@ -92,13 +92,14 @@ class KernelProfiler:
     profiling driver runs one testbed per measurement); counters and
     buckets accumulate across attaches, which is what a sweep-level
     profile wants.  Attach order relative to other instrumentation does
-    not matter: the profiler does not use the ``step_hook`` chain at all
-    — the kernel calls it directly through ``sim.perf``.
+    not matter: the profiler is not one of the kernel's step observers
+    (:meth:`Simulator.observe`) — the kernel calls it directly through
+    ``sim.perf``, after the observers, in an inline countdown.
 
     Because each observed event's wall window is closed by the *next*
     observed step (one clock read per step), a bucket's seconds include
     everything from the event's dispatch to the next dispatch: its
-    callbacks, chained step hooks, and heap maintenance.  The profiler's
+    callbacks, step observers, and heap maintenance.  The profiler's
     own per-step cost is attributed the same way — honest
     self-accounting, gated below 5 % by ``bench_sim``.
 

@@ -25,9 +25,9 @@ Parent resolution for a new record, in priority order:
 
 Binding (:meth:`TraceRecorder.bind`) installs the recorder as
 ``sim.obs`` — the discovery point every instrumented module polls — and
-chains the kernel's ``step_hook`` to open/close process lifecycle spans.
-An existing hook (e.g. the tie-order race detector) keeps running; bind
-the recorder *after* attaching such tools, since they may refuse to chain.
+adds it to the kernel's step observers (:meth:`Simulator.observe`) to
+open/close process lifecycle spans.  Other observers (the usage
+accountant, the tie-order race detector) may attach before or after it.
 """
 
 from __future__ import annotations
@@ -123,8 +123,6 @@ class TraceRecorder:
         self._ambient: List[int] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry(self.now)
         self.sim: Optional[Simulator] = None
-        self._prev_hook = None
-        self._hook = None
         #: Kernel steps observed while bound (cheap int, not a Counter —
         #: this increments on every simulator event).
         self.steps = 0
@@ -136,37 +134,30 @@ class TraceRecorder:
 
     # -- binding ----------------------------------------------------------
     def bind(self, sim: Simulator) -> "TraceRecorder":
-        """Install as ``sim.obs`` and chain the kernel step hook."""
+        """Install as ``sim.obs`` and observe the kernel's steps."""
         if self.sim is not None:
             raise ObsError("recorder is already bound; unbind() first")
         if sim.obs is not None:
             raise ObsError("simulator already has a bound recorder")
         self.sim = sim
         sim.obs = self
-        self._prev_hook = sim.step_hook
-        # One bound-method object, kept for the identity check in unbind()
-        # (each `self._step_hook` attribute access would create a fresh one).
-        self._hook = self._step_hook
-        sim.step_hook = self._hook
+        sim.observe(self._step_hook)
         return self
 
     def unbind(self) -> "TraceRecorder":
-        """Detach from the simulator (restores any chained step hook)."""
+        """Stop observing the simulator and clear ``sim.obs``."""
         sim = self.sim
         if sim is None:
             return self
         if sim.obs is self:
             sim.obs = None
-        if sim.step_hook is self._hook:
-            sim.step_hook = self._prev_hook
-        self._prev_hook = None
-        self._hook = None
+        sim.unobserve(self._step_hook)
         self.sim = None
         return self
 
     def _step_hook(self, t: float, prio: int, seq: int, event: Event) -> None:
         # Hot path — once per kernel event; isinstance() over issubclass()
-        # and a localized chain call keep the per-event cost flat.
+        # keeps the per-event cost flat.
         self.steps += 1
         if event.__class__ is _Initialize:
             proc = event.process  # type: ignore[attr-defined]
@@ -178,9 +169,6 @@ class TraceRecorder:
             sid = event.obs_span  # type: ignore[attr-defined]
             if sid is not None and sid in self._open:
                 self.end(sid, ok=bool(event._ok))
-        prev = self._prev_hook
-        if prev is not None:
-            prev(t, prio, seq, event)
 
     # -- parent context ----------------------------------------------------
     def push_parent(self, sid: int) -> None:

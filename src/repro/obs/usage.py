@@ -19,7 +19,7 @@ Like the :class:`~repro.obs.record.TraceRecorder` it is strictly
   exact served-work deltas as the share folds its lazy accumulators (so
   totals are exact regardless of sampling resolution), and a *speed
   tap* folds the capacity integral (``speed * dt``) exactly at each
-  ``set_speed`` change point — so the chained kernel ``step_hook`` is
+  ``set_speed`` change point — so its kernel step observer is
   O(1) per event: it only checks whether virtual time has advanced past
   the next ``resolution`` boundary and, if so, cuts a utilization
   sample;
@@ -198,10 +198,8 @@ class MemoryUsage:
 class UsageAccountant:
     """Folds served-work deltas into per-resource utilization series.
 
-    Attach order composes with the rest of the obs stack exactly as the
-    recorder does: attach the race detector first (it refuses to chain),
-    then :meth:`attach` the accountant, then ``recorder.bind`` — each
-    later layer chains the hook it finds.
+    :meth:`attach` adds it to the kernel's step observers, beside the
+    recorder and the race detector, in any order.
     """
 
     def __init__(
@@ -223,8 +221,6 @@ class UsageAccountant:
         self.config_marks: List[Tuple[float, str]] = []
         self._config = NO_CONFIG
         self.sim: Optional[Simulator] = None
-        self._prev_hook = None
-        self._hook = None
         self._elapsed_mark = 0.0
         self._sample_t = 0.0
         #: Virtual time accounted so far, across attach/detach cycles.
@@ -233,23 +229,20 @@ class UsageAccountant:
 
     # -- binding ----------------------------------------------------------
     def attach(self, sim: Simulator) -> "UsageAccountant":
-        """Chain into ``sim.step_hook`` and become ``sim.usage``."""
+        """Observe the kernel's steps and become ``sim.usage``."""
         if self.sim is not None:
             raise ValueError("accountant is already attached; detach() first")
         if sim.usage is not None:
             raise ValueError("simulator already has an attached accountant")
         self.sim = sim
         sim.usage = self
-        self._prev_hook = sim.step_hook
-        # One bound-method object, kept for the identity check in detach().
-        self._hook = self._step_hook
-        sim.step_hook = self._hook
+        sim.observe(self._step_hook)
         self._elapsed_mark = sim.now
         self._sample_t = sim.now
         return self
 
     def detach(self) -> "UsageAccountant":
-        """Unchain from the simulator (restores any chained hook)."""
+        """Stop observing the simulator and clear ``sim.usage``."""
         sim = self.sim
         if sim is None:
             return self
@@ -259,10 +252,7 @@ class UsageAccountant:
             self._elapsed_mark = sim.now
         if sim.usage is self:
             sim.usage = None
-        if sim.step_hook is self._hook:
-            sim.step_hook = self._prev_hook
-        self._prev_hook = None
-        self._hook = None
+        sim.unobserve(self._step_hook)
         self.sim = None
         return self
 
@@ -285,7 +275,7 @@ class UsageAccountant:
 
         def speed_tap() -> None:
             # Fold the capacity integral at the old speed just before the
-            # share replaces it; keeps the per-event step hook O(1).
+            # share replaces it; keeps the per-event step observer O(1).
             entry.fold_capacity(share.sim.now)
 
         share.usage_tap = tap
@@ -344,7 +334,7 @@ class UsageAccountant:
     def active_config(self) -> str:
         return self._config
 
-    # -- the step hook ------------------------------------------------------
+    # -- the step observer --------------------------------------------------
     def _step_hook(self, t: float, prio: int, seq: int, event: Event) -> None:
         # Hot path — once per kernel event.  All real work (capacity
         # folding, attribution) happens in the share taps at exact change
@@ -352,9 +342,6 @@ class UsageAccountant:
         self.steps += 1
         if t - self._sample_t >= self.resolution:
             self._sample(t)
-        prev = self._prev_hook
-        if prev is not None:
-            prev(t, prio, seq, event)
 
     def _sample(self, t: float) -> None:
         """Cut one time-weighted sample per tracked resource."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from ..obs import TraceRecorder
+from ..obs import Instruments
 from ..sandbox import LimiterMode, Testbed
 from ..sim import derive_seed
 from ..tunable import Configuration, TunableApp
@@ -45,10 +45,8 @@ class ProfilingDriver:
         mode: str = LimiterMode.IDEAL,
         seed: int = 0,
         max_run_time: float = 3600.0,
-        recorder: Optional[TraceRecorder] = None,
         app_spec=None,
-        usage=None,
-        profiler=None,
+        instruments: Instruments = Instruments(),
     ):
         names = [d.name for d in dims]
         if len(set(names)) != len(names):
@@ -65,23 +63,15 @@ class ProfilingDriver:
         self.mode = mode
         self.seed = seed
         self.max_run_time = max_run_time
-        #: Observability recorder; when set, every :meth:`measure` binds it
-        #: to that run's fresh testbed and wraps the run in a
-        #: ``profile.measure`` span.  Virtual time restarts at zero per
-        #: testbed, so successive run spans overlap on the time axis — the
-        #: ``run`` attr disambiguates them.
-        self.recorder = recorder
-        #: Optional :class:`repro.obs.UsageAccountant`; when set, every
-        #: :meth:`measure` attaches it to the fresh testbed and tracks its
-        #: resources, so utilization accumulates across the whole sweep
-        #: (entries rebase onto each new testbed's shares).  Not consulted
-        #: on the engine path, like the recorder.
-        self.usage = usage
-        #: Optional :class:`repro.obs.KernelProfiler`; when set, every
-        #: :meth:`measure` attaches it to the fresh testbed for the run,
-        #: so kernel cost buckets accumulate across the whole sweep.  Not
-        #: consulted on the engine path, like the recorder.
-        self.profiler = profiler
+        #: Passive instruments every :meth:`measure` attaches to that
+        #: run's fresh testbed, so usage and kernel cost buckets
+        #: accumulate across the whole sweep (accountant entries rebase
+        #: onto each new testbed's shares).  A recorder also wraps each
+        #: run in a ``profile.measure`` span; virtual time restarts at
+        #: zero per testbed, so successive run spans overlap on the time
+        #: axis — the ``run`` attr disambiguates them.  Not consulted on
+        #: the engine path (workers carry no trace context).
+        self.instruments = instruments
         #: Optional :class:`repro.exec.AppSpec` enabling the engine path
         #: of :meth:`profile`/:meth:`profile_adaptive` (workers must be
         #: able to rebuild the app from pure data).
@@ -97,18 +87,9 @@ class ProfilingDriver:
             mode=self.mode,
             seed=run_seed,
         )
-        obs = self.recorder
-        usage = self.usage
-        perf = self.profiler
-        span = None
-        if perf is not None:
-            perf.attach(testbed.sim)
-        if usage is not None:
-            usage.attach(testbed.sim)
-            usage.track_testbed(testbed)
-            usage.set_config(config.label(), t=testbed.sim.now)
+        instruments = self.instruments.attach(testbed, config)
+        obs = instruments.recorder
         if obs is not None:
-            obs.bind(testbed.sim)
             span = obs.begin(
                 "profile.measure", cat="profiling",
                 config=config.label(), point=point.label(),
@@ -137,15 +118,8 @@ class ProfilingDriver:
         finally:
             if obs is not None:
                 obs.pop_parent()
-                if span is not None:
-                    obs.end(span, virtual_duration=testbed.sim.now)
-                obs.finish()
-                obs.unbind()
-            if usage is not None:
-                usage.finish()
-                usage.detach()
-            if perf is not None:
-                perf.detach()
+                obs.end(span, virtual_duration=testbed.sim.now)
+            instruments.detach()
         self.runs += 1
         metrics = rt.qos.snapshot()
         if obs is not None:
@@ -171,8 +145,8 @@ class ProfilingDriver:
 
         With ``engine`` (a :class:`repro.exec.SweepEngine`), cells run
         through the sweep engine — parallel and/or cache-served — and
-        merge into the database in serial-loop order.  The recorder is
-        not consulted on that path (workers carry no trace context).
+        merge into the database in serial-loop order.  The instruments
+        are not consulted on that path (workers carry no trace context).
         """
         if configs is None:
             configs = self.app.configurations()

@@ -11,7 +11,9 @@ one of two kinds:
 
 Every entry accepts ``seed=`` and the passive ``recorder=``/``usage=``/
 ``profiler=`` instruments, which is all ``repro trace|metrics|usage|perf|
-report|diff`` need.  ``repro dash`` and ``InteractiveContext`` take the
+report|diff`` need; a builder holds them as one
+:class:`~repro.obs.Instruments` value (``scene.instruments``) and attaches
+them in any order relative to a race detector.  ``repro dash`` and ``InteractiveContext`` take the
 Scene entries (:func:`scene_names`); ``repro check explore`` takes the
 Scene entries whose builder also accepts ``tiebreak`` and
 ``detect_races``.

@@ -16,7 +16,6 @@ from .core import (
 from .fluid import FluidJob, FluidShare
 from .primitives import Container, Request, Resource, Store, StoreGet, StorePut
 from .rng import derive_seed, stream
-from .trace import Probe, Tracer
 
 __all__ = [
     "Simulator",
@@ -42,7 +41,5 @@ __all__ = [
     "FluidJob",
     "AggregateFlow",
     "stream",
-    "Tracer",
-    "Probe",
     "derive_seed",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Tuple
 
 __all__ = [
     "Simulator",
@@ -341,6 +341,10 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
+#: A passive step observer: ``fn(time, priority, seq, event)``.
+StepObserver = Callable[[float, int, int, Event], None]
+
+
 class Simulator:
     """Owns virtual time and the pending-event queue.
 
@@ -375,10 +379,11 @@ class Simulator:
         #: (``FluidShare`` recomputes its rates there).  The hot loop pays
         #: a list emptiness check for it, no extra event.
         self._eoi: list = []
-        #: Opt-in instrumentation: called as ``hook(time, priority, seq,
-        #: event)`` just before each popped event's callbacks run.  Used by
-        #: :class:`repro.analysis.races.RaceDetector`; None costs nothing.
-        self.step_hook: Optional[Callable[[float, int, int, Event], None]] = None
+        #: Passive step observers in dispatch (attach) order; change it
+        #: through :meth:`observe`/:meth:`unobserve`.  A tuple, replaced on
+        #: every change, so :meth:`step` iterates a snapshot and an empty
+        #: one costs a truthiness check.
+        self.observers: Tuple[StepObserver, ...] = ()
         #: Discovery point for the observability layer: a bound
         #: :class:`repro.obs.TraceRecorder`, or None (the default — every
         #: instrumented call site guards on this, so disabled tracing costs
@@ -480,6 +485,25 @@ class Simulator:
         self._push_hook = hook
         self._direct = hook is None and self._tiebreak is None
 
+    # -- observers ----------------------------------------------------------
+    def observe(self, fn: StepObserver) -> None:
+        """Attach a passive step observer.
+
+        :meth:`step` calls ``fn(time, priority, seq, event)`` after the
+        clock advances and before the event's callbacks run, after every
+        observer attached earlier.  Observers must not schedule events,
+        draw randomness or change simulation state.
+        """
+        self.observers += (fn,)
+
+    def unobserve(self, fn: StepObserver) -> None:
+        """Detach ``fn`` (matched by ``==``, so a bound method matches its
+        fresh re-binding).  A step already dispatching still calls the
+        observers it started with."""
+        observers = list(self.observers)
+        observers.remove(fn)
+        self.observers = tuple(observers)
+
     def _enqueue(
         self, event: Event, delay: float, priority: int, slot: Optional[int] = None
     ) -> None:
@@ -543,8 +567,10 @@ class Simulator:
         if t < self._now - 1e-12:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = t
-        if self.step_hook is not None:
-            self.step_hook(t, prio, seq, event)
+        observers = self.observers
+        if observers:
+            for fn in observers:
+                fn(t, prio, seq, event)
         perf = self.perf
         if perf is not None:
             # Burst sampling: during a profiler off phase the countdown is
@@ -552,7 +578,7 @@ class Simulator:
             # pre_step closes the previous event's wall window with a
             # single clock read, so each bucket's cost spans from its
             # event's dispatch to the next event's dispatch — callbacks,
-            # chained step hooks, and heap maintenance included.
+            # step observers, and heap maintenance included.
             n = perf.skip
             if n:
                 perf.skip = n - 1

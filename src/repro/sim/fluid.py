@@ -291,7 +291,7 @@ class FluidShare:
 
         The passive twin of :meth:`sync`: the lazy accumulators and the
         completion timer are left untouched, so instrumentation (the usage
-        accountant's step hook) can read progress between events without
+        accountant's step observer) can read progress between events without
         perturbing the run.
         """
         dt = self.sim.now - self._last_update

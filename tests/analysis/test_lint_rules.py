@@ -576,6 +576,28 @@ def test_obs104_flags_fluid_sync_and_scheduler_select():
     assert "OBS104" in found
 
 
+def test_obs104_flags_detaching_a_kernel_observer():
+    assert "OBS104" in rules_of(
+        """
+        class ScenarioInspector:
+            def quiet(self, sim, recorder):
+                sim.unobserve(recorder._step_hook)
+        """,
+        path="src/repro/obs/interactive.py",
+    )
+
+
+def test_obs104_ignores_reading_the_kernel_observers():
+    assert "OBS104" not in rules_of(
+        """
+        class ScenarioInspector:
+            def observers(self, sim):
+                return [fn.__qualname__ for fn in sim.observers]
+        """,
+        path="src/repro/obs/interactive.py",
+    )
+
+
 def test_obs104_ignores_passive_reads_in_inspector():
     assert "OBS104" not in rules_of(
         """

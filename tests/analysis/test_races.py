@@ -195,11 +195,11 @@ def test_detach_restores_simulator_hooks():
     sim = Simulator()
     assert sim._direct  # no observer: hot sites push the heap directly
     detector = RaceDetector(sim).attach()
-    assert sim.step_hook is not None
+    assert sim.observers == (detector._on_step,)
     assert sim.push_hook is not None  # every push now reports its parent
     assert not sim._direct
     detector.detach()
-    assert sim.step_hook is None
+    assert sim.observers == ()
     assert sim.push_hook is None
     assert sim._direct
 

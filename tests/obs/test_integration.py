@@ -2,17 +2,21 @@
 yield reconstructable causal adaptation chains."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.chaos import run_chaos
+from repro.experiments.chaos import build_chaos, run_chaos
 from repro.experiments.fig6 import fig6a_database
 from repro.obs import (
     TraceRecorder,
+    UsageAccountant,
     adaptation_chains,
     from_jsonl,
     to_jsonl,
 )
+
+CHAOS_TRACE = Path(__file__).resolve().parents[2] / "benchmarks/out/chaos_trace.jsonl"
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +108,45 @@ def test_traced_fig6a_byte_identical_and_spanned():
     assert proc_spans
     roots = {r.parent for r in proc_spans if r.parent in measure_sids}
     assert roots  # ambient parenting grouped runs under measure spans
+
+
+def _chaos_detector_last(recorder, usage):
+    """Chaos seed 0 with the accountant and recorder attached before the
+    race detector, which then watches what ``detect_races`` watches."""
+    from repro.analysis.races import RaceDetector, watch
+
+    scene = build_chaos(seed=0, recorder=recorder, usage=usage)
+    detector = RaceDetector(scene.sim).attach()
+    for host_name in sorted(scene.testbed.hosts):
+        watch(detector, scene.testbed.hosts[host_name])
+    for label in ("client", "server"):
+        exchange = getattr(scene, f"{label}_exchange")
+        detector.watch_mapping(
+            exchange, "remote_estimates", f"{label}.remote_estimates"
+        )
+        detector.watch_mapping(
+            exchange, "peer_last_seen", f"{label}.peer_last_seen"
+        )
+    _fig, payload = scene.run()
+    payload["races"] = [r.to_dict() for r in detector.finish()]
+    detector.detach()
+    return payload
+
+
+@pytest.mark.parametrize("detector_first", [True, False])
+def test_observer_attach_order_leaves_chaos_unchanged(detector_first):
+    """Detector, accountant and recorder observe the same steps in any
+    order: the payload is the detector-only run's, the trace the
+    committed one."""
+    recorder = TraceRecorder()
+    usage = UsageAccountant()
+    if detector_first:
+        _fig, payload = run_chaos(
+            seed=0, detect_races=True, recorder=recorder, usage=usage
+        )
+    else:
+        payload = _chaos_detector_last(recorder, usage)
+    _fig, bare = run_chaos(seed=0, detect_races=True)
+    assert json.dumps(payload, sort_keys=True) == json.dumps(bare, sort_keys=True)
+    assert to_jsonl(recorder.records) == CHAOS_TRACE.read_text()
+    assert usage.steps == recorder.steps > 0

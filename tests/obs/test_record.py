@@ -29,9 +29,10 @@ def test_bind_unbind_contract():
         rec.bind(sim)  # double bind
     with pytest.raises(ObsError):
         TraceRecorder().bind(sim)  # second recorder on same sim
+    assert sim.observers == (rec._step_hook,)
     rec.unbind()
     assert sim.obs is None
-    assert sim.step_hook is None
+    assert sim.observers == ()
 
 
 def test_process_lifecycle_spans_and_creator_parenting():
@@ -135,9 +136,10 @@ def test_monotonic_ids_and_unbound_clock():
 
 
 def test_recorder_chains_existing_step_hook():
+    # An observer attached before the recorder keeps running beside it.
     sim = Simulator()
     seen = []
-    sim.step_hook = lambda t, prio, seq, event: seen.append(seq)
+    sim.observe(lambda t, prio, seq, event: seen.append(seq))
     rec = TraceRecorder().bind(sim)
 
     def worker():

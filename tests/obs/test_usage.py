@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from repro.obs import UsageAccountant
+from repro.obs import TraceRecorder, UsageAccountant
 from repro.obs.usage import NO_CONFIG, UNATTRIBUTED, owner_label
 from repro.sim import FluidShare, Simulator
 
@@ -163,3 +163,24 @@ def test_attach_refuses_double_attachment(fixture):
     usage.detach()
     other.attach(sim)  # fine after the first detached
     other.detach()
+
+
+def test_detach_stops_observing_while_a_recorder_stays_bound():
+    sim = Simulator()
+    usage = UsageAccountant().attach(sim)
+    recorder = TraceRecorder().bind(sim)
+
+    def worker():
+        for _ in range(6):
+            yield sim.timeout(1.0)
+
+    sim.process(worker())
+    sim.run(until=2.5)
+    steps = usage.steps
+    usage.detach()
+    sim.run()
+    assert usage.steps == steps
+    assert recorder.steps > steps
+    assert sim.observers == (recorder._step_hook,)
+    recorder.unbind()
+    assert sim.observers == ()

@@ -449,9 +449,11 @@ def test_urgent_timeout_precedes_normal_at_same_instant():
 def test_step_hook_observes_every_step():
     seen = []
     sim = Simulator()
-    sim.step_hook = lambda t, prio, seq, event: seen.append(
-        (t, prio, type(event).__name__)
-    )
+
+    def observer(t, prio, seq, event):
+        seen.append((t, prio, type(event).__name__))
+
+    sim.observe(observer)
 
     def proc():
         yield sim.timeout(1.0)
@@ -462,7 +464,49 @@ def test_step_hook_observes_every_step():
     times = [t for t, _prio, _name in seen]
     assert times == sorted(times)
     assert [name for _t, _prio, name in seen].count("Timeout") == 2
-    sim.step_hook = None
+    sim.unobserve(observer)
+    assert sim.observers == ()
+
+
+def test_observers_run_in_attach_order():
+    sim = Simulator()
+    calls = []
+
+    def observer(name):
+        return lambda t, prio, seq, event: calls.append((name, seq))
+
+    first, second = observer("first"), observer("second")
+    sim.observe(first)
+    sim.observe(second)
+    assert sim.observers == (first, second)
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    sim.run()
+    assert [name for name, _seq in calls] == ["first", "second"] * 2
+    assert calls[0][1] == calls[1][1] and calls[2][1] == calls[3][1]
+
+
+def test_observer_unobserving_itself_mid_step_does_not_skip_the_next():
+    sim = Simulator()
+    calls = []
+
+    def once(t, prio, seq, event):
+        calls.append("once")
+        sim.unobserve(once)
+
+    sim.observe(once)
+    sim.observe(lambda t, prio, seq, event: calls.append("after"))
+    sim.timeout(1.0)
+    sim.timeout(2.0)
+    sim.run()
+    assert calls == ["once", "after", "after"]
+    assert len(sim.observers) == 1
+
+
+def test_unobserve_of_unknown_observer_raises():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.unobserve(lambda t, prio, seq, event: None)
 
 
 # -- tiebreak policy hook --------------------------------------------------
