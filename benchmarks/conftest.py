@@ -21,8 +21,8 @@ OUT_DIR = Path(__file__).parent / "out"
 def interleaved_best():
     """Best-of-N wall clock per fn, interleaved to dodge scheduler drift.
 
-    The one timing harness every overhead benchmark shares
-    (``bench_obs`` / ``bench_recovery`` / ``bench_sim``):
+    The throughput harness (``bench_sim``'s layer rows, ``bench_crowd``);
+    overhead gates use ``paired_ratios`` below:
 
     - **interleaved** — scheduler and thermal drift between *blocks* of
       rounds would otherwise bias the comparison toward whichever

@@ -33,12 +33,11 @@ def _toy_sweep():
     dims = [
         ResourceDimension("node.cpu", (0.25, 0.5, 0.75, 1.0), lo=0.01, hi=1.0)
     ]
-    return app, dims, AppSpec("repro.apps:make_toy_app"), None
+    return app, dims, AppSpec("repro.apps:make_toy_app")
 
 
 def _viz_sweep():
     from ..apps.visualization import make_viz_app
-    from ..experiments.fig6 import exp1_workload
     from ..profiling import ResourceDimension
 
     app = make_viz_app()
@@ -48,17 +47,13 @@ def _viz_sweep():
     ]
     app_spec = AppSpec(
         "repro.apps.visualization:make_viz_app",
-        workload="repro.experiments.fig6:exp1_workload",
-        workload_kwargs={"n_images": 1},
+        workload="repro.experiments.fig6:viz_workload",
+        workload_kwargs={"exp": 1, "n_images": 1},
     )
-
-    def workload(config, point, run_seed):
-        return exp1_workload(config, point, run_seed, n_images=1)
-
-    return app, dims, app_spec, workload
+    return app, dims, app_spec
 
 
-#: Sweepable application name -> builder of (app, dims, app_spec, workload).
+#: Sweepable application name -> builder of (app, dims, app_spec).
 SWEEPS = {"toy": _toy_sweep, "viz": _viz_sweep}
 
 
@@ -99,13 +94,14 @@ def sweep_main(argv: Optional[List[str]] = None) -> int:
     from .engine import SweepEngine
     from .store import ResultStore
 
-    app, dims, app_spec, workload = SWEEPS[args.app]()
+    app, dims, app_spec = SWEEPS[args.app]()
     store = None if args.no_cache else ResultStore(args.cache_dir)
     engine = SweepEngine(
         jobs=args.jobs, store=store, timeout=args.timeout, retries=args.retries
     )
     driver = ProfilingDriver(
-        app, dims, workload_factory=workload, seed=args.seed, app_spec=app_spec
+        app, dims, workload_factory=app_spec.build_workload_factory(),
+        seed=args.seed, app_spec=app_spec,
     )
     db = driver.profile(engine=engine)
 

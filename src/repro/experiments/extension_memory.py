@@ -70,8 +70,7 @@ def memory_database(
             seed=run_seed,
             sandbox_kwargs={"fault_cost": FAULT_COST},
         )
-        testbed.run(until=driver.max_run_time)
-        testbed.shutdown()
+        testbed.run_until_finished([rt], until=driver.max_run_time)
         from ..profiling import Record
 
         return Record(

@@ -13,52 +13,34 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..apps.visualization import VizCosts, VizWorkload, make_viz_app
-from ..exec import AppSpec, default_engine
+from ..apps.visualization import VizWorkload, make_viz_app
 from ..obs import Instruments
-from ..profiling import (
-    ProfilingDriver,
-    ResourceDimension,
-    ResourcePoint,
-    limits_for_point,
-    vary_one_plan,
-)
+from ..profiling import ResourcePoint, limits_for_point
 from ..sandbox import ResourceLimits, Testbed
 from ..sim import derive_seed
 from ..tunable import Configuration
 from .common import FigureResult, build_adaptive_viz
+from .fig6 import (
+    CPU_SHARES,
+    EXP3_BW,
+    EXP3_COSTS,
+    VIZ_PROFILES,
+    render_viz,
+    viz_database,
+    viz_workload,
+)
 from .scene import Scene, scene_runner
 
 __all__ = [
-    "EXP3_COSTS",
-    "EXP3_BW",
     "run_fig5",
     "fig5_database",
-    "exp3_workload",
     "build_fig5_cell",
     "build_fig5_session",
     "run_fig5_session",
     "DEFAULT_SESSION_VARIATIONS",
 ]
 
-#: Experiment-3 calibration: rendering cost placed so that the 1 s
-#: response bound separates the fovea sizes the way the paper reports —
-#: fovea 320 satisfies it at 90 % CPU (≈0.95 s) but not at 40 % (≈1.9 s),
-#: and fovea 160 *barely misses* it at 40 % (≈1.05 s), making 80 the
-#: scheduler's pick after the drop.  Per-request server work (pyramid
-#: extraction) penalizes small fovea increments; 10 MB/s pipe.
-EXP3_COSTS = VizCosts(
-    display_cost=1.45e-4, client_round_overhead=9.0, server_round_overhead=20.0
-)
-EXP3_BW = 10e6
-
-FOVEA_SIZES: Tuple[int, ...] = (80, 160, 320)
-CPU_SHARES: Tuple[float, ...] = (0.2, 0.3, 0.4, 0.6, 0.8, 0.9, 1.0)
-
-
-def exp3_workload(config, point, run_seed, n_images: int = 2):
-    """Module-level Experiment-3 workload factory (importable by workers)."""
-    return VizWorkload(n_images=n_images, costs=EXP3_COSTS, seed=run_seed)
+FOVEA_SIZES: Tuple[int, ...] = tuple(c["dR"] for c in VIZ_PROFILES[3].configs)
 
 
 def fig5_database(
@@ -76,39 +58,13 @@ def fig5_database(
     Returns (database, dims, configs) — also used by the Experiment-3
     adaptive run (Fig. 7c/d), which is how the paper uses these curves.
     An optional :class:`repro.obs.TraceRecorder` wraps each measurement
-    in a ``profile.measure`` span; since engine workers carry no trace
-    context, the sweep engine is only consulted when no instrumentation
-    (recorder / usage accountant / kernel profiler) is set — or when
-    ``engine`` is passed explicitly.
+    in a ``profile.measure`` span (see :func:`viz_database` for when the
+    sweep engine is consulted).
     """
-    app = make_viz_app()
-    dims = [
-        ResourceDimension("client.cpu", tuple(shares), lo=0.01, hi=1.0),
-        ResourceDimension("client.network", (EXP3_BW / 2, EXP3_BW), lo=1.0),
-    ]
-    app_spec = AppSpec(
-        "repro.apps.visualization:make_viz_app",
-        workload="repro.experiments.fig5:exp3_workload",
-        workload_kwargs={"n_images": n_images},
+    return viz_database(
+        3, shares, n_images, seed, Instruments(recorder, usage, profiler), engine,
+        configs=[{"dR": dr, "c": "lzw", "l": 4} for dr in fovea_sizes],
     )
-    instruments = Instruments(recorder, usage, profiler)
-    if engine is None and not instruments:
-        engine = default_engine()
-    driver = ProfilingDriver(
-        app,
-        dims,
-        workload_factory=app_spec.build_workload_factory(),
-        seed=seed,
-        app_spec=app_spec,
-        instruments=instruments,
-    )
-    configs = [
-        Configuration({"dR": dr, "c": "lzw", "l": 4}) for dr in fovea_sizes
-    ]
-    base = ResourcePoint({"client.cpu": 1.0, "client.network": EXP3_BW})
-    plan = vary_one_plan(dims, "client.cpu", base)
-    db = driver.profile(configs=configs, plan=plan, engine=engine)
-    return db, dims, configs
 
 
 def build_fig5_cell(
@@ -146,7 +102,7 @@ def build_fig5_cell(
         for host_name in sorted(testbed.hosts):
             watch(detector, testbed.hosts[host_name])
     instruments = Instruments(recorder, usage, profiler).attach(testbed, config)
-    workload = VizWorkload(n_images=2, costs=EXP3_COSTS, seed=run_seed)
+    workload = viz_workload(config, point, run_seed, 3, n_images=2)
     rt = app.instantiate(
         testbed,
         config,
@@ -181,8 +137,8 @@ def build_fig5_cell(
 
 #: CPU-share steps of the single adaptive Experiment-3 session: a drop to
 #: the 40 % regime (where fovea 320 and 160 both miss the response bound,
-#: per the EXP3 calibration above — the scheduler re-picks 80) and a late
-#: recovery that lets adaptation switch back up.
+#: per the EXP3_COSTS calibration in fig6 — the scheduler re-picks 80)
+#: and a late recovery that lets adaptation switch back up.
 DEFAULT_SESSION_VARIATIONS: Tuple[Tuple[float, float], ...] = (
     (20.0, 0.4),
     (60.0, 0.9),
@@ -241,7 +197,7 @@ def build_fig5_session(
 
     # The paper's Experiment-3 preference: minimize transmission time
     # subject to the 1 s round-response bound that separates the fovea
-    # sizes (see EXP3_COSTS above and Experiment 3 in fig7).
+    # sizes (see EXP3_COSTS in fig6 and Experiment 3 in fig7).
     return build_adaptive_viz(
         "fig5sess", seed, until, db,
         UserPreference.single(
@@ -265,26 +221,11 @@ run_fig5_session = scene_runner(build_fig5_session)
 
 def run_fig5(seed: int = 0, engine=None) -> Tuple[FigureResult, FigureResult]:
     """(transmission-time figure, response-time figure)."""
-    db, _dims, configs = fig5_database(seed=seed, engine=engine)
-    fig_a = FigureResult(
-        figure="Fig 5a",
-        title="Image transmission time for different fovea sizes vs CPU share",
-        xlabel="CPU share (%)",
-        ylabel="transmission time (s)",
+    return render_viz(
+        3, fig5_database(seed=seed, engine=engine),
+        lambda config: f"fovea={config.dR}",
+        ("Fig 5a", "Image transmission time for different fovea sizes vs CPU share",
+         "transmit_time", "transmission time (s)"),
+        ("Fig 5b", "Response time for different fovea sizes vs CPU share",
+         "response_time", "response time (s)"),
     )
-    fig_b = FigureResult(
-        figure="Fig 5b",
-        title="Response time for different fovea sizes vs CPU share",
-        xlabel="CPU share (%)",
-        ylabel="response time (s)",
-    )
-    for config in configs:
-        sa = fig_a.new_series(f"fovea={config.dR}")
-        sb = fig_b.new_series(f"fovea={config.dR}")
-        for point in db.points_for(config):
-            rec = db.record_at(config, point)
-            sa.add(point["client.cpu"] * 100, rec.metrics["transmit_time"])
-            sb.add(point["client.cpu"] * 100, rec.metrics["response_time"])
-        sa.points.sort()
-        sb.points.sort()
-    return fig_a, fig_b

@@ -21,14 +21,14 @@ import functools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..apps.visualization import VizCosts, VizWorkload
+from ..apps.visualization import VizWorkload
 from ..profiling import PerformanceDatabase, ResourcePoint
 from ..runtime import AdaptationEvent, Objective, UserPreference
 from ..sandbox import ResourceLimits
 from ..tunable import Configuration, MetricRange
 from .common import FigureResult, build_adaptive_viz, sweep_cells
-from .fig5 import EXP3_BW, EXP3_COSTS, fig5_database
-from .fig6 import EXP1_COSTS, EXP2_BW, EXP2_COSTS, fig6a_database, fig6b_database
+from .fig5 import fig5_database
+from .fig6 import EXP2_BW, EXP3_BW, VIZ_PROFILES, fig6a_database, fig6b_database
 from .scene import Scene
 
 __all__ = [
@@ -124,10 +124,10 @@ class AdaptiveRun:
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One Section 7 experiment: everything its runs differ in."""
+    """One Section 7 experiment: everything its runs differ in, besides
+    the workload costs of its profile (``VIZ_PROFILES[exp]``)."""
 
     database: Callable[..., tuple]
-    costs: VizCosts
     #: The client's (CPU share, bandwidth) before and after the step; a
     #: ``None`` share leaves the CPU uncapped.
     before: Tuple[Optional[float], float]
@@ -145,13 +145,13 @@ class _Experiment:
 
 _EXPERIMENTS: Dict[int, _Experiment] = {
     1: _Experiment(
-        fig6a_database, EXP1_COSTS, (None, 500e3), (None, 50e3),
+        fig6a_database, (None, 500e3), (None, 50e3),
         ("transmit_time", "minimize"), None,
         lambda run: ({"dR": 320, "c": run, "l": 4}, f"static {run}"),
         n_images=10, switch_at=25.0, bound=None,
     ),
     2: _Experiment(
-        fig6b_database, EXP2_COSTS, (0.9, EXP2_BW), (0.4, EXP2_BW),
+        fig6b_database, (0.9, EXP2_BW), (0.4, EXP2_BW),
         ("resolution", "maximize"), "transmit_time",
         lambda run: (
             {"dR": 320, "c": "lzw", "l": int(run[1:])},
@@ -160,7 +160,7 @@ _EXPERIMENTS: Dict[int, _Experiment] = {
         n_images=10, switch_at=30.0, bound=10.0,
     ),
     3: _Experiment(
-        fig5_database, EXP3_COSTS, (0.9, EXP3_BW), (0.4, EXP3_BW),
+        fig5_database, (0.9, EXP3_BW), (0.4, EXP3_BW),
         ("transmit_time", "minimize"), "response_time",
         lambda run: (
             {"dR": int(run[2:]), "c": "lzw", "l": 4},
@@ -225,7 +225,9 @@ def build_fig7(
         UserPreference.single(Objective(*spec.objective), ranges),
         ResourcePoint({"client.cpu": share or 1.0, "client.network": bw}),
         {"client": ResourceLimits(cpu_share=share, net_bw=bw)},
-        lambda scene: VizWorkload(n_images=n_images, costs=spec.costs, seed=seed),
+        lambda scene: VizWorkload(
+            n_images=n_images, costs=VIZ_PROFILES[exp].costs, seed=seed
+        ),
         summarize,
         variations=[
             (switch_at, ResourceLimits(cpu_share=after_share, net_bw=after_bw))

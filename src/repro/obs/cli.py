@@ -332,13 +332,13 @@ def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
     """The 2x2 fig5 sweep as result-store cells (cache-backed, parallel)."""
     from ..exec import AppSpec, JobSpec, ResultStore, SweepEngine
     from ..exec.profile_jobs import app_spec_payload
-    from ..experiments.fig5 import EXP3_BW
+    from ..experiments.fig6 import EXP3_BW
     from .dash import dashboard_cell
 
     app_spec = AppSpec(
         "repro.apps.visualization:make_viz_app",
-        workload="repro.experiments.fig5:exp3_workload",
-        workload_kwargs={"n_images": 2},
+        workload="repro.experiments.fig6:viz_workload",
+        workload_kwargs={"exp": 3, "n_images": 2},
     )
     labels, specs = [], []
     for share in _FIG5_SWEEP_SHARES:

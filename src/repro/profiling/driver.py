@@ -108,13 +108,7 @@ class ProfilingDriver:
                 workload=workload,
                 seed=run_seed,
             )
-            testbed.run(until=self.max_run_time)
-            if not rt.finished.triggered:
-                raise RuntimeError(
-                    f"profiling run did not finish within {self.max_run_time}s: "
-                    f"{config.label()} @ {point.label()}"
-                )
-            testbed.shutdown()
+            testbed.run_until_finished([rt], until=self.max_run_time)
         finally:
             if obs is not None:
                 obs.pop_parent()

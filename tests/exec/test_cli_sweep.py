@@ -8,25 +8,30 @@ from repro.cli import main
 from repro.exec.engine import _default  # noqa: F401  (import check only)
 
 
-def test_sweep_toy_serial_cached(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "app, cells",
+    [("toy", 12), ("viz", 48)],  # 3 configs x 4 cpu levels; 12 x 2 cpu x 2 bw
+    ids=["toy", "viz"],
+)
+def test_sweep_serial_cached(tmp_path, capsys, app, cells):
     cache = tmp_path / "cache"
-    out = tmp_path / "toy.json"
+    out = tmp_path / f"{app}.json"
     assert main(
-        ["sweep", "toy", "--cache-dir", str(cache), "--out", str(out)]
+        ["sweep", app, "--cache-dir", str(cache), "--out", str(out)]
     ) == 0
     text = capsys.readouterr().out
-    assert "== sweep toy:" in text
-    assert "12 run, 0 cached" in text
+    assert f"== sweep {app}:" in text
+    assert f"{cells} run, 0 cached" in text
     db = json.loads(out.read_text())
-    assert len(db["records"]) == 12  # 3 configs x 4 cpu levels
+    assert len(db["records"]) == cells
 
     # Second invocation is fully cache-served and byte-identical.
-    out2 = tmp_path / "toy2.json"
+    out2 = tmp_path / f"{app}2.json"
     assert main(
-        ["sweep", "toy", "--cache-dir", str(cache), "--out", str(out2)]
+        ["sweep", app, "--cache-dir", str(cache), "--out", str(out2)]
     ) == 0
     text2 = capsys.readouterr().out
-    assert "0 run, 12 cached" in text2
+    assert f"0 run, {cells} cached" in text2
     assert out.read_bytes() == out2.read_bytes()
 
 

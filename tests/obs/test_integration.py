@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.chaos import build_chaos, run_chaos
-from repro.experiments.fig6 import fig6a_database
+from repro.experiments.fig5 import fig5_database
+from repro.experiments.fig6 import fig6a_database, fig6b_database
 from repro.obs import (
     TraceRecorder,
     UsageAccountant,
@@ -88,16 +89,16 @@ def test_chaos_metrics_agree_with_payload(traced_chaos):
     assert snap["fault.injections"]["value"] == len(payload["injections"])
 
 
-def test_traced_fig6a_byte_identical_and_spanned():
+@pytest.mark.parametrize(
+    "database", [fig5_database, fig6a_database, fig6b_database],
+    ids=lambda fn: fn.__name__,
+)
+def test_traced_database_byte_identical_and_spanned(database):
+    # Traced runs measure inline; plain ones go through the sweep engine.
     recorder = TraceRecorder()
-    db_traced, _dims, configs = fig6a_database(seed=0, recorder=recorder)
-    db_plain, _dims, _configs = fig6a_database(seed=0)
-    for config in configs:
-        for point in db_plain.points_for(config):
-            assert (
-                db_traced.record_at(config, point).metrics
-                == db_plain.record_at(config, point).metrics
-            )
+    db_traced, _dims, configs = database(seed=0, recorder=recorder)
+    db_plain, _dims, _configs = database(seed=0)
+    assert db_traced.to_dict() == db_plain.to_dict()
     measures = recorder.find("profile.measure")
     assert len(measures) == len(configs) * len(db_plain.points_for(configs[0]))
     assert all(r.t1 is not None for r in measures)

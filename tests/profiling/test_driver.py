@@ -121,3 +121,12 @@ def test_workload_factory_receives_context():
     driver = ProfilingDriver(make_app(), [cpu_dim(1.0)], workload_factory=factory)
     driver.profile(configs=[Configuration({"work": 50})])
     assert seen == [({"work": 50}, {"node.cpu": 1.0}, seen[0][2])]
+
+
+def test_unfinished_run_raises_naming_app_and_config():
+    driver = ProfilingDriver(make_app(), [cpu_dim(0.5)], max_run_time=1.0)
+    config = Configuration({"work": 100})
+    with pytest.raises(RuntimeError, match="did not finish within 1.0s") as info:
+        driver.measure(config, ResourcePoint({"node.cpu": 0.5}))
+    assert f"measured @ {config.label()}" in str(info.value)
+    assert driver.runs == 0
