@@ -288,7 +288,7 @@ class RaceDetector:
         if id(store) in self._watched_stores:
             return
         self._watched_stores.add(id(store))
-        for op_name in ("put", "get", "try_get"):
+        for op_name in ("put", "post", "get", "try_get"):
             original = getattr(store, op_name)
 
             def wrapped(*args, _original=original, _label=label, **kwargs):

@@ -64,6 +64,10 @@ class Store:
     def put(self, item: Any) -> StorePut:
         return StorePut(self, item)
 
+    def post(self, item: Any) -> None:
+        """Put ``item`` for a caller that will not wait on the put."""
+        StorePut(self, item)
+
     def get(self, filter=None) -> StoreGet:
         return StoreGet(self, filter)
 

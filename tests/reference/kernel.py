@@ -17,10 +17,13 @@ no end-of-instant list, and :class:`FluidShare` is the *eager* pass: every
 change advances the jobs, recomputes the rates and arms a fresh completion
 timer at once; timers left behind by later changes fire and do nothing.
 
-Two knobs plant known defects, so a test can show that comparing this
+Four knobs plant known defects, so a test can show that comparing this
 kernel with :mod:`repro.sim` catches them: ``Simulator(lifo=True)`` breaks
-ties last-in-first-out, and ``FluidShare(..., rate_ulps=n)`` moves every
-positive rate ``n`` ulps up.
+ties last-in-first-out, ``FluidShare(..., rate_ulps=n)`` moves every
+positive rate ``n`` ulps up, ``Store(..., last_match=True)`` hands a
+filtered get the newest matching item instead of the oldest, and
+``Store(..., lazy_post=True)`` leaves a posted item in the store without
+waking a parked getter.
 """
 
 from __future__ import annotations
@@ -223,14 +226,22 @@ class Simulator:
 
 
 class Store:
-    """FIFO store with a capacity; ``put``/``get`` return events."""
+    """FIFO store with a capacity; ``put``/``get`` return events.
 
-    def __init__(self, sim, capacity=math.inf):
+    A get may carry a ``filter``: it takes the oldest item the filter
+    accepts.  Waiting getters are served in arrival order, one pass over
+    them per round; a getter nothing matches waits for a later round.
+    ``post`` is a put that returns nothing: nobody can wait on it.
+    """
+
+    def __init__(self, sim, capacity=math.inf, last_match=False, lazy_post=False):
         self.sim = sim
         self.capacity = capacity
         self.items = deque()
         self.putters = deque()
         self.getters = deque()
+        self.last_match = last_match
+        self.lazy_post = lazy_post
 
     def put(self, item):
         event = Event(self.sim)
@@ -239,11 +250,28 @@ class Store:
         self._dispatch()
         return event
 
-    def get(self):
+    def post(self, item):
+        if self.lazy_post and not self.putters and len(self.items) < self.capacity:
+            self.items.append(item)
+            return
+        self.put(item)
+
+    def get(self, filter=None):
         event = Event(self.sim)
+        event.filter = filter
         self.getters.append(event)
         self._dispatch()
         return event
+
+    def _match(self, getter):
+        """Index of the item ``getter`` takes, or None."""
+        found = [
+            j for j, item in enumerate(self.items)
+            if getter.filter is None or getter.filter(item)
+        ]
+        if not found:
+            return None
+        return found[-1] if self.last_match and getter.filter is not None else found[0]
 
     def _dispatch(self):
         progressed = True
@@ -254,8 +282,14 @@ class Store:
                 self.items.append(put.item)
                 put.succeed()
                 progressed = True
-            while self.getters and self.items:
-                self.getters.popleft().succeed(self.items.popleft())
+            for getter in list(self.getters):
+                j = self._match(getter)
+                if j is None:
+                    continue
+                item = self.items[j]
+                del self.items[j]
+                self.getters.remove(getter)
+                getter.succeed(item)
                 progressed = True
 
 

@@ -1,8 +1,9 @@
 """Differential oracle: repro.sim against the reference kernel.
 
 Hypothesis generates small process programs (timeouts at shared instants,
-Store put/get, AnyOf/AllOf, interrupts, manual events, joins, and fluid
-submit/cap/cancel calls) and runs each on both kernels.  What a program
+Store put/get, filtered gets, posts nobody waits on, AnyOf/AllOf,
+interrupts, manual events, joins, and fluid submit/cap/cancel calls) and
+runs each on both kernels.  What a program
 observes must be equal: the order and virtual time of every resume, the
 values it receives, and, compared with ``==``, the time each fluid job
 completes.  Raw heap traffic is not compared, nor the clock once the run
@@ -43,6 +44,8 @@ _OPS = st.one_of(
     st.tuples(st.just("wait"), _DELAYS, st.sampled_from([0, 1])),
     st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 9)),
     st.tuples(st.just("get"), st.integers(0, 1)),
+    st.tuples(st.just("fget"), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.just("post"), st.integers(0, 1), st.integers(0, 9)),
     st.tuples(st.just("any"), st.lists(_DELAYS, min_size=1, max_size=3)),
     st.tuples(st.just("all"), st.lists(_DELAYS, max_size=3)),
     st.tuples(st.just("interrupt"), st.integers(0, 3)),
@@ -71,11 +74,21 @@ FLUID_PROGRAMS = st.lists(
 )
 
 
-def planted(lifo=False, rate_ulps=0):
+#: Filters a get may carry: an item is an int in 0..9.
+FILTERS = (
+    lambda item: item % 2 == 0,
+    lambda item: item % 2 == 1,
+    lambda item: item >= 5,
+)
+
+
+def planted(lifo=False, rate_ulps=0, last_match=False, lazy_post=False):
     """The reference kernel with a known defect planted."""
     return SimpleNamespace(
         Simulator=partial(reference.Simulator, lifo=lifo),
-        Store=reference.Store,
+        Store=partial(
+            reference.Store, last_match=last_match, lazy_post=lazy_post
+        ),
         FluidShare=partial(reference.FluidShare, rate_ulps=rate_ulps),
         Interrupt=reference.Interrupt,
         SimulationError=reference.SimulationError,
@@ -112,6 +125,12 @@ def run_program(api, program):
                     note(me, i, "put")
                 elif kind == "get":
                     note(me, i, "got", (yield stores[op[1]].get()))
+                elif kind == "fget":
+                    got = yield stores[op[1]].get(filter=FILTERS[op[2]])
+                    note(me, i, "fgot", got)
+                elif kind == "post":
+                    stores[op[1]].post(op[2])
+                    note(me, i, "posted")
                 elif kind in ("any", "all"):
                     events = [sim.timeout(d) for d in op[1]]
                     wait = sim.any_of if kind == "any" else sim.all_of
@@ -201,3 +220,15 @@ def test_oracle_catches_a_one_ulp_rate_change():
     first = next(i for i, (a, b) in enumerate(zip(log, nudged)) if a != b)
     assert log[first][1:] == nudged[first][1:]
     assert 0.0 < abs(log[first][0] - nudged[first][0]) < 1e-9
+
+
+def test_oracle_catches_a_filtered_get_taking_the_newest_match():
+    program = _find_divergence(planted(last_match=True))
+    assert run_program(PRODUCTION, program) == run_program(reference, program)
+    assert any(op[0] == "fget" for ops in program for op in ops)
+
+
+def test_oracle_catches_a_post_that_wakes_no_getter():
+    program = _find_divergence(planted(lazy_post=True))
+    assert run_program(PRODUCTION, program) == run_program(reference, program)
+    assert any(op[0] == "post" for ops in program for op in ops)
