@@ -72,7 +72,8 @@ _OBS104_GATED = ("repro/obs/interactive",)
 #: Method names that mutate simulation, runtime, or recorder state when
 #: called on *any* receiver — scheduling events, moving fluid-share
 #: clocks, steering the controller, attaching or detaching kernel
-#: observers, closing accounting windows, or writing metrics.  Passive counterparts (``peek``, ``served_now``,
+#: observers or the clock alarm, closing accounting windows, or writing
+#: metrics.  Passive counterparts (``peek``, ``served_now``,
 #: ``summary``, ``estimates``, ``stats``, ``totals``) are the inspector
 #: vocabulary.  ``schedule*`` is matched by prefix.
 _OBS104_MUTATING = frozenset({
@@ -83,7 +84,8 @@ _OBS104_MUTATING = frozenset({
     "select", "select_initial", "retarget", "force_config",
     "resume_normal", "attach", "detach", "bind", "unbind",
     "install", "inject", "crash", "restore", "finalize", "finish",
-    "inc", "observe", "unobserve", "begin", "end", "instant",
+    "inc", "observe", "unobserve", "set_alarm", "post", "begin", "end",
+    "instant",
 })
 
 #: Canonical call targets that read wall clocks.

@@ -24,10 +24,11 @@ Parent resolution for a new record, in priority order:
    used by the profiling driver to group whole measurement runs).
 
 Binding (:meth:`TraceRecorder.bind`) installs the recorder as
-``sim.obs`` — the discovery point every instrumented module polls — and
-adds it to the kernel's step observers (:meth:`Simulator.observe`) to
-open/close process lifecycle spans.  Other observers (the usage
-accountant, the tie-order race detector) may attach before or after it.
+``sim.obs`` — the discovery point every instrumented module polls.  It is
+not a step observer: every process spawned while it is bound carries its
+hook first on its start event, which opens the lifecycle span and puts
+the same hook first on the process's exit event to close it.  A traced
+run therefore pays per record, not per kernel step.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from contextlib import contextmanager
 from itertools import count
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..sim.core import Event, Process, Simulator, _Initialize
+from ..sim.core import Event, Simulator, _Initialize
 from .metrics import MetricsRegistry
 
 __all__ = ["ObsError", "SpanRecord", "TraceRecorder"]
@@ -123,9 +124,9 @@ class TraceRecorder:
         self._ambient: List[int] = []
         self.metrics = metrics if metrics is not None else MetricsRegistry(self.now)
         self.sim: Optional[Simulator] = None
-        #: Kernel steps observed while bound (cheap int, not a Counter —
-        #: this increments on every simulator event).
-        self.steps = 0
+        # Kernel steps of earlier bindings, and ``sim.steps`` at bind.
+        self._steps = 0
+        self._steps_mark = 0
 
     # -- clock ------------------------------------------------------------
     def now(self) -> float:
@@ -133,39 +134,66 @@ class TraceRecorder:
         return self.sim.now if self.sim is not None else 0.0
 
     # -- binding ----------------------------------------------------------
+    @property
+    def steps(self) -> int:
+        """Kernel steps dispatched while bound."""
+        steps = self._steps
+        if self.sim is not None:
+            steps += self.sim.steps - self._steps_mark
+        return steps
+
     def bind(self, sim: Simulator) -> "TraceRecorder":
-        """Install as ``sim.obs`` and observe the kernel's steps."""
+        """Install as ``sim.obs``; hook the processes not yet started."""
         if self.sim is not None:
             raise ObsError("recorder is already bound; unbind() first")
         if sim.obs is not None:
             raise ObsError("simulator already has a bound recorder")
         self.sim = sim
         sim.obs = self
-        sim.observe(self._step_hook)
+        self._steps_mark = sim.steps
+        # Processes spawned before the bind start while bound: their start
+        # events get the hook that a spawn under ``sim.obs`` would have set.
+        hook = self._step_hook
+        for entry in sim._heap:
+            event = entry[3]
+            if (
+                event.__class__ is _Initialize
+                and event.callbacks is not None
+                and hook not in event.callbacks
+            ):
+                event.callbacks.insert(0, hook)
         return self
 
     def unbind(self) -> "TraceRecorder":
-        """Stop observing the simulator and clear ``sim.obs``."""
+        """Stop recording process spans and clear ``sim.obs``."""
         sim = self.sim
         if sim is None:
             return self
         if sim.obs is self:
             sim.obs = None
-        sim.unobserve(self._step_hook)
+        self._steps += sim.steps - self._steps_mark
         self.sim = None
         return self
 
-    def _step_hook(self, t: float, prio: int, seq: int, event: Event) -> None:
-        # Hot path — once per kernel event; isinstance() over issubclass()
-        # keeps the per-event cost flat.
-        self.steps += 1
+    def _step_hook(self, event: Event) -> None:
+        """Open or close a process's lifecycle span.
+
+        Runs first among the callbacks of a process's start event (set at
+        spawn or :meth:`bind`) and of its exit event (set here, when the
+        span opens), so records keep the order a per-step observer gave
+        them.  A no-op once the recorder is unbound from the event's
+        simulator.
+        """
+        if self.sim is not event.sim:
+            return
         if event.__class__ is _Initialize:
             proc = event.process  # type: ignore[attr-defined]
             span = self._record(
                 "span", f"proc:{proc.name}", "sim", parent=proc.obs_parent
             )
             proc.obs_span = span.sid
-        elif isinstance(event, Process):
+            proc.callbacks.insert(0, self._step_hook)
+        else:
             sid = event.obs_span  # type: ignore[attr-defined]
             if sid is not None and sid in self._open:
                 self.end(sid, ok=bool(event._ok))

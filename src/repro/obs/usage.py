@@ -19,10 +19,10 @@ Like the :class:`~repro.obs.record.TraceRecorder` it is strictly
   exact served-work deltas as the share folds its lazy accumulators (so
   totals are exact regardless of sampling resolution), and a *speed
   tap* folds the capacity integral (``speed * dt``) exactly at each
-  ``set_speed`` change point — so its kernel step observer is
-  O(1) per event: it only checks whether virtual time has advanced past
-  the next ``resolution`` boundary and, if so, cuts a utilization
-  sample;
+  ``set_speed`` change point — so it needs no per-event work at all:
+  the kernel's clock alarm (:meth:`Simulator.set_alarm`) calls it on the
+  first step at or past the next ``resolution`` boundary, where it cuts
+  a utilization sample;
 - attribution keys are stable strings: the ``owner`` label of the fluid
   job (normally a sandbox name) and the label of the configuration
   active when the work was served.  The runtime updates the active
@@ -46,15 +46,17 @@ Accounting invariants (see ``docs/observability.md``):
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
-from ..sim.core import Event, Simulator
+from ..sim.core import Simulator
 from ..sim.fluid import FluidShare
 from .metrics import MetricsRegistry
 
 __all__ = ["MemoryUsage", "ResourceUsage", "UsageAccountant", "owner_label"]
 
 _EPS = 1e-12
+_INF = math.inf
 
 #: Attribution bucket for work whose fluid job carries no owner.
 UNATTRIBUTED = "(unattributed)"
@@ -198,8 +200,8 @@ class MemoryUsage:
 class UsageAccountant:
     """Folds served-work deltas into per-resource utilization series.
 
-    :meth:`attach` adds it to the kernel's step observers, beside the
-    recorder and the race detector, in any order.
+    :meth:`attach` arms the kernel's clock alarm; the accountant is not a
+    step observer.
     """
 
     def __init__(
@@ -225,24 +227,35 @@ class UsageAccountant:
         self._sample_t = 0.0
         #: Virtual time accounted so far, across attach/detach cycles.
         self.elapsed = 0.0
-        self.steps = 0
+        # Kernel steps of earlier attachments, and ``sim.steps`` at attach.
+        self._steps = 0
+        self._steps_mark = 0
 
     # -- binding ----------------------------------------------------------
+    @property
+    def steps(self) -> int:
+        """Kernel steps dispatched while attached."""
+        steps = self._steps
+        if self.sim is not None:
+            steps += self.sim.steps - self._steps_mark
+        return steps
+
     def attach(self, sim: Simulator) -> "UsageAccountant":
-        """Observe the kernel's steps and become ``sim.usage``."""
+        """Arm the kernel's clock alarm and become ``sim.usage``."""
         if self.sim is not None:
             raise ValueError("accountant is already attached; detach() first")
         if sim.usage is not None:
             raise ValueError("simulator already has an attached accountant")
         self.sim = sim
         sim.usage = self
-        sim.observe(self._step_hook)
+        self._steps_mark = sim.steps
         self._elapsed_mark = sim.now
         self._sample_t = sim.now
+        self._arm()
         return self
 
     def detach(self) -> "UsageAccountant":
-        """Stop observing the simulator and clear ``sim.usage``."""
+        """Disarm the alarm and clear ``sim.usage``."""
         sim = self.sim
         if sim is None:
             return self
@@ -252,7 +265,8 @@ class UsageAccountant:
             self._elapsed_mark = sim.now
         if sim.usage is self:
             sim.usage = None
-        sim.unobserve(self._step_hook)
+        self._steps += sim.steps - self._steps_mark
+        sim.set_alarm(_INF, None)
         self.sim = None
         return self
 
@@ -334,12 +348,26 @@ class UsageAccountant:
     def active_config(self) -> str:
         return self._config
 
-    # -- the step observer --------------------------------------------------
-    def _step_hook(self, t: float, prio: int, seq: int, event: Event) -> None:
-        # Hot path — once per kernel event.  All real work (capacity
-        # folding, attribution) happens in the share taps at exact change
-        # points; here we only decide whether to cut a sample.
-        self.steps += 1
+    # -- the clock alarm ----------------------------------------------------
+    def _arm(self) -> None:
+        """Arm the alarm at the least ``t`` with ``t - sample_t >= resolution``.
+
+        Float subtraction is monotone in ``t``, so that ``t`` is found by
+        stepping ulps from ``sample_t + resolution``; the alarm then fires
+        exactly on the steps the sampling test accepts.
+        """
+        s, r = self._sample_t, self.resolution
+        t = s + r
+        while t - s < r:
+            t = math.nextafter(t, _INF)
+        lower = math.nextafter(t, -_INF)
+        while lower - s >= r:
+            t, lower = lower, math.nextafter(lower, -_INF)
+        self.sim.set_alarm(t, self._on_alarm)  # type: ignore[union-attr]
+
+    def _on_alarm(self, t: float) -> None:
+        # All real work (capacity folding, attribution) happens in the
+        # share taps at exact change points; here a sample is cut.
         if t - self._sample_t >= self.resolution:
             self._sample(t)
 
@@ -371,6 +399,8 @@ class UsageAccountant:
             entry.peak_resident = max(entry.peak_resident, resident)
             self.metrics.series(f"usage.{name}.resident").record(t, resident)
         self._sample_t = t
+        if self.sim is not None:
+            self._arm()
 
     # -- teardown ------------------------------------------------------------
     def finish(self) -> "UsageAccountant":

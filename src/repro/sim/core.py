@@ -47,6 +47,7 @@ URGENT = 0
 NORMAL = 1
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class SimulationError(Exception):
@@ -203,12 +204,17 @@ class _Initialize(Event):
 
     def __init__(self, sim: "Simulator", process: "Process"):
         self.sim = sim
-        self.callbacks = [process._resume]
+        obs = sim.obs
+        # A bound recorder's hook runs first: it opens the process's
+        # lifecycle span before the generator starts.
+        self.callbacks = (
+            [process._resume] if obs is None else [obs._step_hook, process._resume]
+        )
         self._value = None
         self._ok = True
         self.defused = False
-        #: Back-reference for instrumentation (the observability recorder
-        #: opens the process's lifecycle span when this event fires).
+        #: Back-reference for instrumentation (the recorder's hook reads
+        #: the process it starts).
         self.process = process
         if sim._direct:
             self._scheduled = True
@@ -379,6 +385,12 @@ class Simulator:
         #: (``FluidShare`` recomputes its rates there).  The hot loop pays
         #: a list emptiness check for it, no extra event.
         self._eoi: list = []
+        #: Events dispatched so far: one per :meth:`step` that pops one.
+        self.steps = 0
+        #: The clock alarm (see :meth:`set_alarm`): :meth:`step` calls
+        #: ``_alarm_fn(t)`` on every step dispatched at ``t >= _alarm``.
+        self._alarm = _INF
+        self._alarm_fn: Optional[Callable[[float], None]] = None
         #: Passive step observers in dispatch (attach) order; change it
         #: through :meth:`observe`/:meth:`unobserve`.  A tuple, replaced on
         #: every change, so :meth:`step` iterates a snapshot and an empty
@@ -504,6 +516,25 @@ class Simulator:
         observers.remove(fn)
         self.observers = tuple(observers)
 
+    def set_alarm(self, at: float, fn: Optional[Callable[[float], None]]) -> None:
+        """Arm the kernel's one clock alarm, or clear it with ``fn=None``.
+
+        While armed, :meth:`step` calls ``fn(t)`` after the clock advances
+        to ``t`` and before the step observers, on every step with
+        ``t >= at``, until ``fn`` re-arms or clears it.  A step that is not
+        due costs one float compare.  Like an observer, ``fn`` must be
+        passive.  One owner at a time: arming over another function's
+        alarm raises :class:`SimulationError`.
+        """
+        if fn is None:
+            self._alarm = _INF
+            self._alarm_fn = None
+            return
+        if self._alarm_fn is not None and self._alarm_fn != fn:
+            raise SimulationError("the clock alarm is already armed by another owner")
+        self._alarm = at
+        self._alarm_fn = fn
+
     def _enqueue(
         self, event: Event, delay: float, priority: int, slot: Optional[int] = None
     ) -> None:
@@ -567,6 +598,9 @@ class Simulator:
         if t < self._now - 1e-12:  # pragma: no cover - defensive
             raise SimulationError("time went backwards")
         self._now = t
+        self.steps += 1
+        if t >= self._alarm:
+            self._alarm_fn(t)  # type: ignore[misc]
         observers = self.observers
         if observers:
             for fn in observers:

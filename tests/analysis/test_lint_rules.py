@@ -587,6 +587,17 @@ def test_obs104_flags_detaching_a_kernel_observer():
     )
 
 
+def test_obs104_flags_arming_the_clock_alarm():
+    assert "OBS104" in rules_of(
+        """
+        class ScenarioInspector:
+            def wake(self, sim, fn):
+                sim.set_alarm(sim.now + 1.0, fn)
+        """,
+        path="src/repro/obs/interactive.py",
+    )
+
+
 def test_obs104_ignores_reading_the_kernel_observers():
     assert "OBS104" not in rules_of(
         """

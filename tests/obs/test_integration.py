@@ -36,6 +36,27 @@ def test_traced_chaos_outcome_byte_identical(traced_chaos):
     )
 
 
+def test_traced_run_installs_no_step_observer():
+    """The recorder and accountant cost per record and per sample, not
+    per kernel step: a traced run leaves the observer list empty."""
+    recorder = TraceRecorder()
+    usage = UsageAccountant(metrics=recorder.metrics)
+    scene = build_chaos(seed=0, recorder=recorder, usage=usage)
+    sim = scene.sim
+    observers = []
+    original_step = sim.step
+
+    def step():
+        observers.append(sim.observers)
+        original_step()
+
+    sim.step = step
+    scene.run()
+    assert observers and set(observers) == {()}
+    assert usage.steps == recorder.steps == len(observers)
+    assert any(r.cat == "sim" for r in recorder.records)  # process spans
+
+
 def test_traced_chaos_runs_are_deterministic(traced_chaos):
     recorder, _payload = traced_chaos
     again = TraceRecorder()

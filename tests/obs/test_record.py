@@ -29,10 +29,48 @@ def test_bind_unbind_contract():
         rec.bind(sim)  # double bind
     with pytest.raises(ObsError):
         TraceRecorder().bind(sim)  # second recorder on same sim
-    assert sim.observers == (rec._step_hook,)
+    assert sim.observers == ()  # spans come from process hooks, not steps
     rec.unbind()
     assert sim.obs is None
     assert sim.observers == ()
+
+
+def test_bind_hooks_processes_spawned_before_it():
+    sim = Simulator()
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    sim.process(worker(), name="early")
+    rec = TraceRecorder().bind(sim)
+    sim.process(worker(), name="late")
+    sim.run()
+    early, late = rec.find("proc:early"), rec.find("proc:late")
+    assert [(r.t0, r.t1) for r in early + late] == [(0.0, 1.0), (0.0, 1.0)]
+    assert early[0].sid < late[0].sid  # start order, not spawn-under-bind order
+    assert rec.steps == sim.steps == 6
+
+
+def test_unbound_recorder_hooks_do_nothing():
+    sim = Simulator()
+    rec = TraceRecorder().bind(sim)
+
+    def worker():
+        yield sim.timeout(1.0)
+
+    sim.process(worker(), name="w")
+    rec.unbind()
+    sim.run()
+    assert rec.records == []
+    assert rec.steps == 0
+    # Rebinding before a start keeps one hook, not two.
+    sim.process(worker(), name="again")
+    rec.bind(sim)
+    rec.unbind()
+    rec.bind(sim)
+    sim.run()
+    assert [r.name for r in rec.records] == ["proc:again"]
+    assert rec.records[0].t1 == 2.0
 
 
 def test_process_lifecycle_spans_and_creator_parenting():

@@ -181,6 +181,37 @@ def test_detach_stops_observing_while_a_recorder_stays_bound():
     sim.run()
     assert usage.steps == steps
     assert recorder.steps > steps
-    assert sim.observers == (recorder._step_hook,)
+    assert sim.observers == ()  # neither instrument is a step observer
+    assert sim._alarm_fn is None  # detach disarmed the clock alarm
     recorder.unbind()
     assert sim.observers == ()
+
+
+@pytest.mark.parametrize("resolution", [0.1, 0.3, 1.0 / 3.0, 1.0])
+def test_alarm_samples_exactly_where_the_per_step_test_would(resolution):
+    """The clock alarm cuts a sample on the same steps as the per-step
+    test ``t - last_sample >= resolution`` it replaces, float ties included."""
+    sim = Simulator()
+    usage = UsageAccountant(resolution=resolution).attach(sim)
+    share = FluidShare(sim, 1.0)
+    usage.track_share("s", share, "cpu")
+    expected = []
+    last = [0.0]
+
+    def per_step_test(t, prio, seq, event):
+        if t - last[0] >= resolution:
+            expected.append(t)
+            last[0] = t
+
+    sim.observe(per_step_test)
+
+    def worker(dt):
+        for _ in range(40):
+            yield sim.timeout(dt)
+
+    for dt in (0.1, 0.1 / 3.0, 0.7):
+        sim.process(worker(dt))
+    sim.run()
+    times = [t for t, _u in usage.series("s").samples]
+    assert times == expected
+    assert len(times) > 5
