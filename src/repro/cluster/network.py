@@ -204,7 +204,7 @@ class Network:
         dst_host = self.hosts[msg.dst]
         for _ in range(max(1, copies)):
             self.messages_delivered += 1
-            dst_host.mailbox(msg.port).put(msg)
+            dst_host.mailbox(msg.port).post(msg)
             dst_host.nic_stats.record_recv(msg)
         if copies > 1:
             self.messages_duplicated += copies - 1

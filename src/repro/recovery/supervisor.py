@@ -36,6 +36,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 
+from ..sandbox.sandbox import SandboxOp
 from ..sim import Process, Simulator, stream
 from ..sim.primitives import Request, StoreGet
 from .checkpoint import Checkpoint, CheckpointStore
@@ -313,8 +314,8 @@ class Supervisor:
         """Fail-stop a service (FaultPlan ``kill`` events land here).
 
         Interrupts every live process of the service and unwinds whatever
-        each was parked on (mailbox waiters, resource requests, nested
-        sandbox helper processes) so no orphaned waiter swallows traffic
+        each was parked on (mailbox waiters, resource requests, sandbox
+        sends and receives, nested processes) so no orphaned waiter swallows traffic
         meant for the restarted incarnation.  Messages already queued in
         host mailboxes survive — the durable-queue crash model shared with
         host crashes.
@@ -350,9 +351,13 @@ class Supervisor:
             target.store.cancel(target)
         elif isinstance(target, Request):
             target.resource.release(target)
+        elif isinstance(target, SandboxOp):
+            # A send or receive in flight: it books nothing, and a receive
+            # withdraws its mailbox get.
+            target.cancel()
         elif isinstance(target, Process) and target.is_alive:
-            # Sandbox helper (recv/send wrapper): tear it down too, and
-            # defuse its failure since nobody waits on it any more.
+            # A nested process: tear it down too, and defuse its failure
+            # since nobody waits on it any more.
             self._reap(target, reason)
             target.defused = True
 

@@ -26,12 +26,12 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..cluster.host import Host
-from ..sim import Event, Process, SimulationError, Simulator
+from ..sim import URGENT, Event, Process, SimulationError, Simulator, Timeout
 from .limits import LimiterMode, ResourceLimits
 from .net_limiter import TokenBucket
 from .progress import ProgressEstimator
 
-__all__ = ["Sandbox"]
+__all__ = ["Sandbox", "SandboxOp", "SendOp", "RecvOp"]
 
 #: Default controller quantum — the paper adjusts priority "every few
 #: milliseconds".
@@ -249,54 +249,18 @@ class Sandbox:
             )
 
     # -------------------------------------------------------------- network
-    def send(self, dst: str, port: str, payload, size: float) -> Process:
+    def send(self, dst: str, port: str, payload, size: float) -> "SendOp":
         """Send a message subject to the bandwidth limit; yields the Message."""
-        return self.sim.process(
-            self._send(dst, port, payload, size), name=f"{self.name}.send"
-        )
+        return SendOp(self, dst, port, payload, size)
 
-    def _send(self, dst: str, port: str, payload, size: float):
-        start = self.sim.now
-        cap = None
-        if self.limits.net_bw is not None:
-            if self._bucket is not None:
-                delay = self._bucket.reserve(size, self.sim.now)
-                if delay > 0:
-                    yield self.sim.timeout(delay)
-            else:
-                cap = self.limits.net_bw
-        msg = yield self.host.send(dst, port, payload, size, cap=cap, owner=self)
-        self.bytes_sent += size
-        self.send_log.append((start, self.sim.now, size))
-        if len(self.send_log) > 4096:
-            del self.send_log[:2048]
-            self.send_log_dropped += 2048
-        return msg
-
-    def recv(self, port: str, filter=None) -> Process:
+    def recv(self, port: str, filter=None) -> "RecvOp":
         """Wait for the next message on ``port`` (optionally filtered).
 
         Inbound data is shaped to the sandbox's bandwidth limit: delivery of
         a message is delayed until its bytes fit the configured rate — the
         paper's "delaying ... receiving of messages".  Yields the Message.
         """
-        return self.sim.process(self._recv(port, filter), name=f"{self.name}.recv")
-
-    def _recv(self, port: str, filter=None):
-        msg = yield self.host.mailbox(port).get(filter=filter)
-        if self._recv_bucket is not None:
-            delay = self._recv_bucket.reserve(msg.size, self.sim.now)
-            if delay > 0:
-                yield self.sim.timeout(delay)
-        self.bytes_received += msg.size
-        # Log (transmission start, delivered, size): the span covers wire
-        # time plus any shaping, which is exactly the "effective bandwidth"
-        # the monitoring agent must estimate.
-        self.recv_log.append((getattr(msg, "send_time", self.sim.now), self.sim.now, msg.size))
-        if len(self.recv_log) > 4096:
-            del self.recv_log[:2048]
-            self.recv_log_dropped += 2048
-        return msg
+        return RecvOp(self, port, filter)
 
     def note_received(self, msg) -> None:
         """Record reception for bandwidth accounting (raw-mailbox paths)."""
@@ -401,3 +365,176 @@ class Sandbox:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Sandbox {self.name!r} on {self.host.name!r} {self.limits}>"
+
+
+class SandboxOp(Event):
+    """A send or receive in flight: an event the sandbox completes itself.
+
+    It stands where a helper process per message used to, with the same
+    same-instant order.  A URGENT start event pushed on creation takes the
+    FIFO slot the helper's start event took, and runs the helper's first
+    stage.  Each later stage is a callback on the one event the helper
+    waited on there: every such event is pushed at NORMAL priority and has
+    no other callback.  The last stage books the operation and then runs
+    the op's own callbacks (its waiters) inline.  The helper would have
+    fired its exit event at URGENT priority at that same instant, which
+    sorts before everything left in the queue, so the waiters run exactly
+    where they did; only that exit step is gone.
+
+    A cancelled op (:meth:`cancel`, used when the supervisor reaps the
+    waiting process) books nothing and never completes, as an interrupted
+    helper did.  A send cancelled before its start event still transmits,
+    since the helper's first stage ran before its interrupt did; a receive
+    cancelled that early takes nothing from the mailbox.
+    """
+
+    __slots__ = ("sandbox", "name", "_cancelled")
+
+    def __init__(self, sandbox: Sandbox, kind: str):
+        sim = sandbox.sim
+        super().__init__(sim)
+        self.sandbox = sandbox
+        #: ``<sandbox>.send`` or ``<sandbox>.recv``, the helper's name.
+        self.name = f"{sandbox.name}.{kind}"
+        self._cancelled = False
+        Timeout(sim, 0.0, priority=URGENT).callbacks.append(self._begin)  # type: ignore[union-attr]
+
+    def _begin(self, _event: Event) -> None:
+        raise NotImplementedError
+
+    def cancel(self) -> None:
+        """Withdraw the op: it books nothing and never completes."""
+        self._cancelled = True
+
+    def _complete(self, ok: bool, value) -> None:
+        """Fire inline: run the waiters now, inside the current step."""
+        self._ok = ok
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = None
+        for cb in callbacks:  # type: ignore[union-attr]
+            cb(self)
+        if not ok and not self.defused:
+            raise value
+
+    def _after(self, event: Event, stage) -> None:
+        """Run ``stage`` when ``event`` fires (at once if it already has)."""
+        if event.callbacks is None:
+            stage(event)
+        else:
+            event.callbacks.append(stage)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{type(self).__name__} {self.name!r}>"
+
+
+class SendOp(SandboxOp):
+    """``Sandbox.send`` in flight; its value is the delivered Message."""
+
+    __slots__ = ("dst", "port", "payload", "size", "start", "cap")
+
+    def __init__(self, sandbox: Sandbox, dst: str, port: str, payload, size: float):
+        self.dst = dst
+        self.port = port
+        self.payload = payload
+        self.size = size
+        self.start = 0.0
+        self.cap: Optional[float] = None
+        super().__init__(sandbox, "send")
+
+    def _begin(self, _event: Event) -> None:
+        sandbox = self.sandbox
+        now = sandbox.sim.now
+        self.start = now
+        if sandbox.limits.net_bw is not None:
+            if sandbox._bucket is not None:
+                delay = sandbox._bucket.reserve(self.size, now)
+                if delay > 0:
+                    self._after(sandbox.sim.timeout(delay), self._shaped)
+                    return
+            else:
+                self.cap = sandbox.limits.net_bw
+        self._transmit()
+
+    def _shaped(self, _event: Event) -> None:
+        if not self._cancelled:
+            self._transmit()
+
+    def _transmit(self) -> None:
+        sandbox = self.sandbox
+        sent = sandbox.host.send(
+            self.dst, self.port, self.payload, self.size, cap=self.cap, owner=sandbox
+        )
+        self._after(sent, self._sent)
+
+    def _sent(self, event: Event) -> None:
+        if self._cancelled:
+            return
+        if not event._ok:
+            event.defused = True
+            self._complete(False, event._value)
+            return
+        sandbox = self.sandbox
+        sandbox.bytes_sent += self.size
+        log = sandbox.send_log
+        log.append((self.start, sandbox.sim.now, self.size))
+        if len(log) > 4096:
+            del log[:2048]
+            sandbox.send_log_dropped += 2048
+        self._complete(True, event._value)
+
+
+class RecvOp(SandboxOp):
+    """``Sandbox.recv`` in flight; its value is the received Message."""
+
+    __slots__ = ("port", "filter", "_get")
+
+    def __init__(self, sandbox: Sandbox, port: str, filter=None):
+        self.port = port
+        self.filter = filter
+        self._get = None
+        super().__init__(sandbox, "recv")
+
+    def _begin(self, _event: Event) -> None:
+        if self._cancelled:
+            return
+        self._get = self.sandbox.host.mailbox(self.port).get(filter=self.filter)
+        self._after(self._get, self._got)
+
+    def cancel(self) -> None:
+        """Withdraw the op, and its mailbox get so it swallows nothing."""
+        super().cancel()
+        get = self._get
+        if get is not None:
+            get.store.cancel(get)
+
+    def _got(self, event: Event) -> None:
+        if self._cancelled:
+            return
+        bucket = self.sandbox._recv_bucket
+        if bucket is not None:
+            delay = bucket.reserve(event._value.size, self.sandbox.sim.now)
+            if delay > 0:
+                self._after(
+                    self.sandbox.sim.timeout(delay, value=event._value),
+                    self._received,
+                )
+                return
+        self._received(event)
+
+    def _received(self, event: Event) -> None:
+        if self._cancelled:
+            return
+        msg = event._value
+        sandbox = self.sandbox
+        now = sandbox.sim.now
+        sandbox.bytes_received += msg.size
+        # Log (transmission start, delivered, size): the span covers wire
+        # time plus any shaping, which is exactly the "effective bandwidth"
+        # the monitoring agent must estimate.
+        log = sandbox.recv_log
+        log.append((getattr(msg, "send_time", now), now, msg.size))
+        if len(log) > 4096:
+            del log[:2048]
+            sandbox.recv_log_dropped += 2048
+        self._complete(True, msg)

@@ -65,8 +65,17 @@ class Store:
         return StorePut(self, item)
 
     def post(self, item: Any) -> None:
-        """Put ``item`` for a caller that will not wait on the put."""
-        StorePut(self, item)
+        """Put ``item`` for a caller that will not wait on the put.
+
+        With room in the store (and no earlier put still queued) the item
+        goes in at once and no event is made: a put event nobody waits on
+        would only cost a step.  Otherwise it queues as :meth:`put` does.
+        """
+        if self._put_waiters or len(self.items) >= self.capacity:
+            StorePut(self, item)
+            return
+        self.items.append(item)
+        self._dispatch()
 
     def get(self, filter=None) -> StoreGet:
         return StoreGet(self, filter)
