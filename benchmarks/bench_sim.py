@@ -23,16 +23,19 @@ adaptation), and the recovery run (supervision + checkpoints + failover)
   ``run()`` boundaries close the books — so this guards hook
   regressions, not a heuristic).
 * **per-subsystem cost shares** — bucket seconds folded into coarse
-  subsystems (process resumes, fluid-share updates, network callbacks,
+  subsystems (process resumes, fluid-share updates, network and sandbox
+  message callbacks,
   process lifecycle), the numbers ROADMAP item 1's "where does kernel
   time go" question asks for.
-* **layer microbenchmarks** — ns per operation of five kernel paths run
-  alone (``*_ns`` fields): a timeout-yield loop, succeed→resume,
-  spawn→exit, a ``Store`` ping-pong round trip and a one-job fluid
-  submit→done.  The timeout-yield loop runs a second time with one
-  no-op step observer attached (``timeout_yield_observed_ns``); the
-  difference is the kernel's dispatch cost per attached observer.  Best
-  of interleaved rounds, each a fresh simulator.
+* **layer microbenchmarks** — ns per operation of six paths run alone
+  (``*_ns`` fields): a timeout-yield loop, succeed→resume, spawn→exit, a
+  ``Store`` ping-pong round trip, a one-job fluid submit→done, and a
+  sandbox round trip (``sandbox_roundtrip_ns``: one ``Sandbox.send`` plus
+  the peer's ``Sandbox.recv`` over a testbed link).  The timeout-yield
+  loop runs a second time with one no-op step observer attached
+  (``timeout_yield_observed_ns``); the difference is the kernel's
+  dispatch cost per attached observer.  Best of interleaved rounds, each
+  a fresh simulator.
 
 Headline numbers land in ``benchmarks/out/BENCH_sim.json``; the
 committed copy is the baseline ``repro bench check`` compares against
@@ -45,6 +48,7 @@ from statistics import median
 
 from repro.experiments import fig5_database, run_chaos, run_recovery
 from repro.obs import KernelProfiler
+from repro.sandbox import HostSpec, LinkSpec, Testbed
 from repro.sim import FluidShare, Simulator, Store
 
 _ROUNDS = 9
@@ -58,6 +62,9 @@ _SUBSYSTEMS = (
     ("fluid", "FluidShare."),
     ("network", "Network."),
     ("network", "Link."),
+    # Sandbox sends and receives: the message path, like the network.
+    ("network", "SendOp."),
+    ("network", "RecvOp."),
     ("lifecycle", "kernel;init;"),
     ("lifecycle", "kernel;exit;"),
     ("processes", ";proc:"),
@@ -148,6 +155,28 @@ def _fluid_submit_done():
     sim.run()
 
 
+def _sandbox_roundtrip():
+    """One op is a message: a send and the peer's receive of it."""
+    testbed = Testbed(
+        [HostSpec("a", 1.0), HostSpec("b", 1.0)],
+        [LinkSpec("a", "b", bandwidth=1e6, latency=1e-4)],
+    )
+    sim = testbed.sim
+    src, dst = testbed.sandbox("a"), testbed.sandbox("b")
+
+    def sender():
+        for i in range(_MICRO_OPS):
+            yield src.send("b", "p", i, 100.0)
+
+    def receiver():
+        for _ in range(_MICRO_OPS):
+            yield dst.recv("p")
+
+    sim.process(sender())
+    sim.process(receiver())
+    sim.run()
+
+
 _MICRO = (
     ("timeout_yield_ns", _timeout_yield),
     ("timeout_yield_observed_ns", lambda: _timeout_yield(observed=True)),
@@ -155,6 +184,7 @@ _MICRO = (
     ("spawn_exit_ns", _spawn_exit),
     ("store_pingpong_ns", _store_pingpong),
     ("fluid_submit_done_ns", _fluid_submit_done),
+    ("sandbox_roundtrip_ns", _sandbox_roundtrip),
 )
 
 
