@@ -160,4 +160,4 @@ def test_chaos_certifies_at_the_ci_budget():
     ).explore()
     assert result.certified
     assert result.divergences == []
-    assert result.tie_windows == 1336
+    assert result.tie_windows == 1237
