@@ -137,3 +137,28 @@ def test_report_cli_crowd_section(tmp_path):
     assert "crowd.free.rate" in html
     assert "crowd.premium.rate" in html
     assert "QoS satisfaction" in html
+
+
+def test_json_output_into_a_reader_that_closes_early_exits_quietly():
+    """``repro metrics crowd --json | head -1``: the reader takes one line
+    and closes the pipe while the CLI is still writing ~100 kB (more than
+    a pipe buffer holds).  No traceback, no shutdown complaint, exit 0."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "metrics", "crowd", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert stderr == ""
