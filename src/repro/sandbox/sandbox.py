@@ -26,7 +26,15 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from ..cluster.host import Host
-from ..sim import URGENT, Event, Process, SimulationError, Simulator, Timeout
+from ..sim import (
+    URGENT,
+    Event,
+    Process,
+    SimulationError,
+    Simulator,
+    StoreGet,
+    Timeout,
+)
 from .limits import LimiterMode, ResourceLimits
 from .net_limiter import TokenBucket
 from .progress import ProgressEstimator
@@ -388,19 +396,14 @@ class SandboxOp(Event):
     cancelled that early takes nothing from the mailbox.
     """
 
-    __slots__ = ("sandbox", "name", "_cancelled")
+    __slots__ = ("sandbox", "_cancelled")
 
-    def __init__(self, sandbox: Sandbox, kind: str):
+    def __init__(self, sandbox: Sandbox):
         sim = sandbox.sim
         super().__init__(sim)
         self.sandbox = sandbox
-        #: ``<sandbox>.send`` or ``<sandbox>.recv``, the helper's name.
-        self.name = f"{sandbox.name}.{kind}"
         self._cancelled = False
-        Timeout(sim, 0.0, priority=URGENT).callbacks.append(self._begin)  # type: ignore[union-attr]
-
-    def _begin(self, _event: Event) -> None:
-        raise NotImplementedError
+        Timeout(sim, 0.0, priority=URGENT).callbacks.append(self._begin)  # type: ignore[attr-defined, union-attr]
 
     def cancel(self) -> None:
         """Withdraw the op: it books nothing and never completes."""
@@ -417,16 +420,6 @@ class SandboxOp(Event):
         if not ok and not self.defused:
             raise value
 
-    def _after(self, event: Event, stage) -> None:
-        """Run ``stage`` when ``event`` fires (at once if it already has)."""
-        if event.callbacks is None:
-            stage(event)
-        else:
-            event.callbacks.append(stage)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name!r}>"
-
 
 class SendOp(SandboxOp):
     """``Sandbox.send`` in flight; its value is the delivered Message."""
@@ -440,20 +433,20 @@ class SendOp(SandboxOp):
         self.size = size
         self.start = 0.0
         self.cap: Optional[float] = None
-        super().__init__(sandbox, "send")
+        super().__init__(sandbox)
 
     def _begin(self, _event: Event) -> None:
         sandbox = self.sandbox
-        now = sandbox.sim.now
-        self.start = now
-        if sandbox.limits.net_bw is not None:
-            if sandbox._bucket is not None:
+        self.start = now = sandbox.sim.now
+        limit = sandbox.limits.net_bw
+        if limit is not None:
+            if sandbox._bucket is None:
+                self.cap = limit
+            else:
                 delay = sandbox._bucket.reserve(self.size, now)
                 if delay > 0:
-                    self._after(sandbox.sim.timeout(delay), self._shaped)
+                    sandbox.sim.timeout(delay).callbacks.append(self._shaped)  # type: ignore[union-attr]
                     return
-            else:
-                self.cap = sandbox.limits.net_bw
         self._transmit()
 
     def _shaped(self, _event: Event) -> None:
@@ -462,10 +455,9 @@ class SendOp(SandboxOp):
 
     def _transmit(self) -> None:
         sandbox = self.sandbox
-        sent = sandbox.host.send(
+        sandbox.host.send(
             self.dst, self.port, self.payload, self.size, cap=self.cap, owner=sandbox
-        )
-        self._after(sent, self._sent)
+        ).callbacks.append(self._sent)  # type: ignore[union-attr]
 
     def _sent(self, event: Event) -> None:
         if self._cancelled:
@@ -492,32 +484,30 @@ class RecvOp(SandboxOp):
     def __init__(self, sandbox: Sandbox, port: str, filter=None):
         self.port = port
         self.filter = filter
-        self._get = None
-        super().__init__(sandbox, "recv")
+        self._get: Optional[StoreGet] = None
+        super().__init__(sandbox)
 
     def _begin(self, _event: Event) -> None:
         if self._cancelled:
             return
         self._get = self.sandbox.host.mailbox(self.port).get(filter=self.filter)
-        self._after(self._get, self._got)
+        self._get.callbacks.append(self._got)  # type: ignore[union-attr]
 
     def cancel(self) -> None:
         """Withdraw the op, and its mailbox get so it swallows nothing."""
         super().cancel()
-        get = self._get
-        if get is not None:
-            get.store.cancel(get)
+        if self._get is not None:
+            self._get.store.cancel(self._get)
 
     def _got(self, event: Event) -> None:
         if self._cancelled:
             return
-        bucket = self.sandbox._recv_bucket
-        if bucket is not None:
-            delay = bucket.reserve(event._value.size, self.sandbox.sim.now)
+        sandbox = self.sandbox
+        if sandbox._recv_bucket is not None:
+            delay = sandbox._recv_bucket.reserve(event._value.size, sandbox.sim.now)
             if delay > 0:
-                self._after(
-                    self.sandbox.sim.timeout(delay, value=event._value),
-                    self._received,
+                sandbox.sim.timeout(delay, value=event._value).callbacks.append(  # type: ignore[union-attr]
+                    self._received
                 )
                 return
         self._received(event)
