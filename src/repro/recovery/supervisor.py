@@ -315,7 +315,7 @@ class Supervisor:
 
         Interrupts every live process of the service and unwinds whatever
         each was parked on (mailbox waiters, resource requests, sandbox
-        sends and receives, nested processes) so no orphaned waiter swallows traffic
+        sends and receives) so no orphaned waiter swallows traffic
         meant for the restarted incarnation.  Messages already queued in
         host mailboxes survive — the durable-queue crash model shared with
         host crashes.
@@ -355,11 +355,6 @@ class Supervisor:
             # A send or receive in flight: it books nothing, and a receive
             # withdraws its mailbox get.
             target.cancel()
-        elif isinstance(target, Process) and target.is_alive:
-            # A nested process: tear it down too, and defuse its failure
-            # since nobody waits on it any more.
-            self._reap(target, reason)
-            target.defused = True
 
     # -- checkpointing ------------------------------------------------------
     def on_safe_point(self, ctx: Any, time: float) -> None:

@@ -258,22 +258,23 @@ def test_race_detector_sees_every_mailbox_access(monkeypatch):
 
 
 # -- supervision ------------------------------------------------------------
+# A supervisor reaping a process parked on an op cancels the op.  The
+# outcomes below are the ones reaping a helper process gave.
 
 
-def _supervised_pair(cls, limits=ResourceLimits(), mode=LimiterMode.IDEAL):
+def _supervised_pair(limits=ResourceLimits(), mode=LimiterMode.IDEAL):
     sim = Simulator()
     net = Network(sim)
     for name in ("a", "b"):
         net.register(Host(sim, name, cpu_speed=100.0))
     net.connect("a", "b", bandwidth=1000.0)
     sup = Supervisor(sim, seed=0).attach()
-    box = cls(net.hosts["a"], limits, mode=mode, name="svc")
+    box = Sandbox(net.hosts["a"], limits, mode=mode, name="svc")
     return sim, net, sup, box
 
 
-@pytest.mark.parametrize("cls", [Sandbox, HelperSandbox])
-def test_killed_receiver_leaves_no_waiter_behind(cls):
-    sim, net, sup, box = _supervised_pair(cls)
+def test_killed_receiver_leaves_no_waiter_behind():
+    sim, net, sup, box = _supervised_pair()
     got = []
 
     def server():
@@ -300,9 +301,8 @@ def test_killed_receiver_leaves_no_waiter_behind(cls):
     assert box.bytes_received == 0.0
 
 
-@pytest.mark.parametrize("cls", [Sandbox, HelperSandbox])
-def test_reaped_send_books_nothing(cls):
-    sim, net, sup, box = _supervised_pair(cls)
+def test_reaped_send_books_nothing():
+    sim, net, sup, box = _supervised_pair()
 
     def client():
         try:
@@ -319,10 +319,9 @@ def test_reaped_send_books_nothing(cls):
     assert box.bytes_sent == 0.0 and box.send_log == []
 
 
-@pytest.mark.parametrize("cls", [Sandbox, HelperSandbox])
-def test_send_reaped_while_shaped_never_leaves(cls):
+def test_send_reaped_while_shaped_never_leaves():
     sim, net, sup, box = _supervised_pair(
-        cls, ResourceLimits(net_bw=100.0), LimiterMode.QUANTUM
+        ResourceLimits(net_bw=100.0), LimiterMode.QUANTUM
     )
 
     def client():
