@@ -509,6 +509,30 @@ def test_unobserve_of_unknown_observer_raises():
         sim.unobserve(lambda t, prio, seq, event: None)
 
 
+def test_clock_alarm_fires_on_due_steps_until_rearmed():
+    sim = Simulator()
+    fired = []
+
+    def alarm(t):
+        fired.append(t)
+        if t >= 3.0:
+            sim.set_alarm(5.0, alarm)  # re-arm further out
+
+    sim.set_alarm(2.0, alarm)
+    for delay in (1.0, 2.0, 2.0, 3.0, 4.0, 6.0):
+        sim.timeout(delay)
+    sim.run()
+    # Level-triggered: every step at or past the alarm time calls it.
+    assert fired == [2.0, 2.0, 3.0, 6.0]
+    assert sim.steps == 6
+    with pytest.raises(SimulationError):
+        sim.set_alarm(7.0, lambda t: None)  # another owner
+    sim.set_alarm(0.0, None)
+    sim.timeout(1.0)
+    sim.run()
+    assert fired == [2.0, 2.0, 3.0, 6.0] and sim.steps == 7
+
+
 # -- tiebreak policy hook --------------------------------------------------
 
 
