@@ -363,7 +363,7 @@ class UsageAccountant:
         lower = math.nextafter(t, -_INF)
         while lower - s >= r:
             t, lower = lower, math.nextafter(lower, -_INF)
-        self.sim.set_alarm(t, self._on_alarm)  # type: ignore[union-attr]
+        self.sim.set_alarm(t, self._on_alarm)
 
     def _on_alarm(self, t: float) -> None:
         # All real work (capacity folding, attribution) happens in the

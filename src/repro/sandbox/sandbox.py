@@ -403,7 +403,7 @@ class SandboxOp(Event):
         super().__init__(sim)
         self.sandbox = sandbox
         self._cancelled = False
-        Timeout(sim, 0.0, priority=URGENT).callbacks.append(self._begin)  # type: ignore[attr-defined, union-attr]
+        Timeout(sim, 0.0, priority=URGENT).callbacks.append(self._begin)
 
     def cancel(self) -> None:
         """Withdraw the op: it books nothing and never completes."""
@@ -415,7 +415,7 @@ class SandboxOp(Event):
         self._value = value
         callbacks = self.callbacks
         self.callbacks = None
-        for cb in callbacks:  # type: ignore[union-attr]
+        for cb in callbacks:
             cb(self)
         if not ok and not self.defused:
             raise value
@@ -445,7 +445,7 @@ class SendOp(SandboxOp):
             else:
                 delay = sandbox._bucket.reserve(self.size, now)
                 if delay > 0:
-                    sandbox.sim.timeout(delay).callbacks.append(self._shaped)  # type: ignore[union-attr]
+                    sandbox.sim.timeout(delay).callbacks.append(self._shaped)
                     return
         self._transmit()
 
@@ -457,7 +457,7 @@ class SendOp(SandboxOp):
         sandbox = self.sandbox
         sandbox.host.send(
             self.dst, self.port, self.payload, self.size, cap=self.cap, owner=sandbox
-        ).callbacks.append(self._sent)  # type: ignore[union-attr]
+        ).callbacks.append(self._sent)
 
     def _sent(self, event: Event) -> None:
         if self._cancelled:
@@ -491,7 +491,7 @@ class RecvOp(SandboxOp):
         if self._cancelled:
             return
         self._get = self.sandbox.host.mailbox(self.port).get(filter=self.filter)
-        self._get.callbacks.append(self._got)  # type: ignore[union-attr]
+        self._get.callbacks.append(self._got)
 
     def cancel(self) -> None:
         """Withdraw the op, and its mailbox get so it swallows nothing."""
@@ -506,9 +506,8 @@ class RecvOp(SandboxOp):
         if sandbox._recv_bucket is not None:
             delay = sandbox._recv_bucket.reserve(event._value.size, sandbox.sim.now)
             if delay > 0:
-                sandbox.sim.timeout(delay, value=event._value).callbacks.append(  # type: ignore[union-attr]
-                    self._received
-                )
+                shaped = sandbox.sim.timeout(delay, value=event._value)
+                shaped.callbacks.append(self._received)
                 return
         self._received(event)
 

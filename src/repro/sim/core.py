@@ -600,7 +600,7 @@ class Simulator:
         self._now = t
         self.steps += 1
         if t >= self._alarm:
-            self._alarm_fn(t)  # type: ignore[misc]
+            self._alarm_fn(t)
         observers = self.observers
         if observers:
             for fn in observers:
