@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List
@@ -111,6 +112,21 @@ def _emit(item, out_dir: Path = None, plot: bool = True) -> None:
 
 
 def main(argv: List[str] = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``repro trace chaos --json |
+        # head``): stop quietly.  Point stdout at devnull so the flush at
+        # interpreter exit does not raise the same error again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    return code
+
+
+def _main(argv: List[str] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "lint":
         # The analysis CLI owns its own argument grammar and exit codes.

@@ -31,7 +31,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -278,17 +277,8 @@ def _write_or_print(text: str, out: Optional[Path]) -> None:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + ("" if text.endswith("\n") else "\n"))
         print(f"wrote {out}")
-        return
-    try:
+    else:
         print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early (``repro trace chaos --json |
-        # head``): stop quietly.  Point stdout at devnull so the flush at
-        # interpreter exit does not raise the same error again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
 
 
 def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
