@@ -16,7 +16,7 @@ from .machines import (
 )
 from .memory import Memory, MemoryError_, MemorySpace
 from .traffic import CrossTraffic
-from .network import DeliveryVerdict, Message, Network, NetworkError, NICStats
+from .network import DeliveryVerdict, Message, Network, NetworkError
 
 __all__ = [
     "CPU",
@@ -30,7 +30,6 @@ __all__ = [
     "Network",
     "NetworkError",
     "DeliveryVerdict",
-    "NICStats",
     "Message",
     "BackgroundLoad",
     "CrossTraffic",

@@ -8,7 +8,6 @@ from ..sim import Simulator, Store
 from .cpu import CPU
 from .disk import Disk
 from .memory import Memory
-from .network import NICStats
 
 __all__ = ["Host"]
 
@@ -34,7 +33,6 @@ class Host:
         self.cpu = CPU(sim, cpu_speed, name=f"{name}.cpu")
         self.memory = Memory(mem_pages)
         self.disk = Disk(sim, disk_bandwidth, disk_seek, name=f"{name}.disk")
-        self.nic_stats = NICStats(sim)
         self.network = None  # set by Network.register
         self._mailboxes: Dict[str, Store] = {}
         #: Liveness flag consulted by the network's delivery gate.

@@ -50,10 +50,6 @@ class Message:
     send_time: float = 0.0
     deliver_time: float = 0.0
 
-    @property
-    def transfer_duration(self) -> float:
-        return self.deliver_time - self.send_time
-
 
 @dataclass
 class DeliveryVerdict:
@@ -153,7 +149,6 @@ class Network:
                 done.defused = True
                 done.fail(event._value)
                 return
-            self.hosts[src].nic_stats.record_send(msg)
             self._arrive(msg, done)
 
         if arrived.callbacks is not None:
@@ -205,7 +200,6 @@ class Network:
         for _ in range(max(1, copies)):
             self.messages_delivered += 1
             dst_host.mailbox(msg.port).post(msg)
-            dst_host.nic_stats.record_recv(msg)
         if copies > 1:
             self.messages_duplicated += copies - 1
         done.succeed(msg)
@@ -259,28 +253,3 @@ class Network:
                     if link is not None:
                         link.restore()
         self.flush_parked()
-
-
-class NICStats:
-    """Per-host traffic counters used by the monitoring agent."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.bytes_sent = 0.0
-        self.bytes_received = 0.0
-        self.sends = 0
-        self.recvs = 0
-        #: (deliver_time, size, duration) of recent receptions.
-        self.recv_log: list = []
-        self.recv_log_limit = 4096
-
-    def record_send(self, msg: Message) -> None:
-        self.bytes_sent += msg.size
-        self.sends += 1
-
-    def record_recv(self, msg: Message) -> None:
-        self.bytes_received += msg.size
-        self.recvs += 1
-        self.recv_log.append((msg.deliver_time, msg.size, msg.transfer_duration))
-        if len(self.recv_log) > self.recv_log_limit:
-            del self.recv_log[: self.recv_log_limit // 2]

@@ -42,7 +42,6 @@ _HOMES = {
     ".interactive": ("InteractiveContext", "ScenarioInspector", "replay"),
     ".perf": ("KernelProfiler", "to_chrome_profile", "to_folded"),
     ".query": ("adaptation_chains", "chain", "dwell_times", "timeline"),
-    ".report": ("render_comparison", "render_report"),
     ".usage": ("UsageAccountant", "owner_label"),
     "..scenarios": ("SCENARIOS", "register_scenario"),
 }

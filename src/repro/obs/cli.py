@@ -35,9 +35,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from ..scenarios import SCENARIOS, run_scenario, scene_names
+from ..scenarios import SCENARIOS, SWEEPS, run_scenario, scene_names
 from .diff import diff_metrics, diff_traces, format_key
 from .export import from_jsonl, ordered, summary, to_chrome, to_jsonl
+from .instruments import Instruments
 from .query import adaptation_chains, dwell_times
 from .record import TraceRecorder
 from .usage import UsageAccountant
@@ -281,51 +282,54 @@ def _write_or_print(text: str, out: Optional[Path]) -> None:
         print(text)
 
 
-def _traced_run(experiment: str, seed: int, with_usage: bool, profiler=None):
-    """Run one experiment traced (and optionally usage-accounted)."""
+def _traced_cell(
+    experiment: str, seed: int, with_usage: bool = True, profiler=None,
+    group: Optional[str] = None,
+) -> dict:
+    """Run one experiment traced (and optionally usage-accounted), as a cell."""
+    from .dash import dashboard_cell_from_run
+
     recorder = TraceRecorder()
     usage = None
     if with_usage:
         # Share the recorder's registry so usage.* series appear in the
-        # metrics snapshot (and therefore in reports and CSV exports).
+        # metrics snapshot (and therefore in pages and CSV exports).
         usage = UsageAccountant(metrics=recorder.metrics)
-    run_scenario(
+    result = run_scenario(
         experiment, seed, recorder=recorder, usage=usage, profiler=profiler
     )
-    return recorder, usage
+    return dashboard_cell_from_run(
+        f"{experiment}@seed={seed}",
+        Instruments(recorder, usage, profiler),
+        payload=None if experiment in SWEEPS else result[1],
+        group=group,
+        seed=seed,
+    )
 
 
-def _load_side(source: str, seed: int):
-    """A diff operand: a trace-JSONL path, or an experiment to run."""
+def _load_side(
+    source: str, seed: int, with_usage: bool = False, group: Optional[str] = None
+) -> dict:
+    """A diff or comparison operand as a cell: a trace .jsonl, or a run."""
     path = Path(source)
     if source.endswith(".jsonl") or path.is_file():
-        records = from_jsonl(path.read_text())
-        return f"{source}", records, None
+        from .dash import dashboard_cell
+
+        return dashboard_cell(
+            source, group=group, records=from_jsonl(path.read_text())
+        )
     if source not in SCENARIOS:
         raise SystemExit(
             f"repro diff: {source!r} is neither a trace .jsonl file nor an "
             f"experiment ({', '.join(sorted(SCENARIOS))})"
         )
-    recorder, _ = _traced_run(source, seed, with_usage=False)
-    return f"{source}@seed={seed}", recorder.records, recorder.metrics.snapshot()
+    return _traced_cell(source, seed, with_usage, group=group)
 
 
 #: The built-in ``fig5-sweep`` source: a 2x2 (cpu share x fovea size)
 #: grid of Experiment-3 profiling cells run through the exec engine.
 _FIG5_SWEEP_SHARES = (0.4, 0.9)
 _FIG5_SWEEP_FOVEAS = (80, 160)
-
-
-def _dash_traced_cell(source: str, seed: int):
-    from .dash import dashboard_cell_from_run
-
-    recorder = TraceRecorder()
-    usage = UsageAccountant(metrics=recorder.metrics)
-    _fig, payload = run_scenario(source, seed, recorder=recorder, usage=usage)
-    return dashboard_cell_from_run(
-        f"{source}@seed={seed}", recorder, usage=usage, payload=payload,
-        group=source, seed=seed,
-    )
 
 
 def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
@@ -407,7 +411,7 @@ def _dash_main(argv: List[str]) -> int:
     cells: List[dict] = []
     for source in args.sources:
         if source in scene_names():
-            cells.append(_dash_traced_cell(source, args.seed))
+            cells.append(_traced_cell(source, args.seed))
         elif source == "fig5-sweep":
             cells.extend(_fig5_sweep_cells(args.seed, args.cache, args.jobs))
         elif Path(source).is_dir():
@@ -509,9 +513,11 @@ def obs_main(argv: List[str]) -> int:
 
     if mode == "diff":
         seed_b = args.seed if args.seed_b is None else args.seed_b
-        label_a, records_a, snap_a = _load_side(args.a, args.seed)
-        label_b, records_b, snap_b = _load_side(args.b, seed_b)
-        result = diff_traces(records_a, records_b)
+        side_a = _load_side(args.a, args.seed)
+        side_b = _load_side(args.b, seed_b)
+        label_a, snap_a = side_a["label"], side_a["metrics"]
+        label_b, snap_b = side_b["label"], side_b["metrics"]
+        result = diff_traces(side_a["records"], side_b["records"])
         metrics_delta = (
             diff_metrics(snap_a, snap_b)
             if snap_a is not None and snap_b is not None
@@ -574,46 +580,27 @@ def obs_main(argv: List[str]) -> int:
         return 0
 
     if mode == "report":
-        from .report import render_comparison, render_report
+        from .dash import render_dashboard
 
         profiler = None
-        if args.perf and args.compare is None:
+        if args.perf:
             from .perf import KernelProfiler
 
             profiler = KernelProfiler(full=True)
-        recorder, usage = _traced_run(
-            args.experiment, args.seed, with_usage=True, profiler=profiler
-        )
-        if args.compare is None:
-            text = render_report(
-                recorder.records,
-                recorder.metrics.snapshot(),
-                title=f"repro report: {args.experiment} (seed {args.seed})",
-                usage_summary=usage.summary(),
-                perf_summary=(
-                    profiler.summary() if profiler is not None else None
-                ),
-            )
-        else:
+        cells = [_traced_cell(args.experiment, args.seed, profiler=profiler)]
+        title = f"repro report: {args.experiment} (seed {args.seed})"
+        if args.compare is not None:
             seed_b = args.seed if args.seed_b is None else args.seed_b
-            label_b, records_b, snap_b = _load_side(args.compare, seed_b)
-            result = diff_traces(recorder.records, records_b)
-            metrics_delta = diff_metrics(
-                recorder.metrics.snapshot(), snap_b if snap_b is not None else {}
-            ) if snap_b is not None else {"identical": result.identical,
-                                          "only_a": [], "only_b": [],
-                                          "changed": {}}
-            text = render_comparison(
-                f"{args.experiment}@seed={args.seed}",
-                label_b,
-                result,
-                metrics_delta,
-                title=f"repro report: {args.experiment} vs {args.compare}",
+            cells.append(
+                _load_side(
+                    args.compare, seed_b, with_usage=True, group=cells[0]["group"]
+                )
             )
+            title = f"repro report: {args.experiment} vs {args.compare}"
         out = args.out
         if out is None:
             out = Path(f"report_{args.experiment}.html")
-        _write_or_print(text, out)
+        _write_or_print(render_dashboard(cells, title=title), out)
         return 0
 
     recorder = TraceRecorder()

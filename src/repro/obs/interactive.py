@@ -492,10 +492,10 @@ class InteractiveContext:
     def snapshot_html(self, title: Optional[str] = None) -> str:
         """A self-contained no-JS HTML page of the state right now.
 
-        A one-cell fleet dashboard: adaptation timeline and utilization
-        bars from the records so far, plus the inspector snapshot tables.
-        Reading it is passive — rendering mid-flight leaves the run
-        byte-identical.
+        One cell through the page renderer every ``repro report`` and
+        ``repro dash`` page uses: the sections of the records, metrics and
+        usage so far, plus the inspector snapshot.  Reading it is passive —
+        rendering mid-flight leaves the run byte-identical.
         """
         from .dash import dashboard_cell_from_context, render_dashboard
 

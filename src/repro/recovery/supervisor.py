@@ -38,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from ..sandbox.sandbox import SandboxOp
 from ..sim import Process, Simulator, stream
-from ..sim.primitives import Request, StoreGet
+from ..sim.primitives import StoreGet
 from .checkpoint import Checkpoint, CheckpointStore
 from .policy import RecoveryError, RestartPolicy
 
@@ -349,8 +349,6 @@ class Supervisor:
             # Detached mailbox waiter: cancel it or it silently consumes
             # the next message addressed to the restarted service.
             target.store.cancel(target)
-        elif isinstance(target, Request):
-            target.resource.release(target)
         elif isinstance(target, SandboxOp):
             # A send or receive in flight: it books nothing, and a receive
             # withdraws its mailbox get.

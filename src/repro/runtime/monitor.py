@@ -23,6 +23,7 @@ import math
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sandbox import Sandbox
+from ..sandbox.sandbox import TransferLog
 from ..sim import Process, Simulator
 from ..tunable import AppRuntime
 from .history import HistoryWindow
@@ -256,11 +257,13 @@ class MonitoringAgent:
             if kind == "cpu":
                 self._sample_cpu(resource, sandbox, now)
             elif kind == "network":
-                self._sample_network(resource, sandbox)
+                recv_key, send_key = self._net_keys[resource]
+                self._sample_transfers(resource, recv_key, sandbox.recv_log)
+                self._sample_transfers(resource, send_key, sandbox.send_log)
             elif kind == "memory":
                 self._sample_memory(resource, sandbox, now)
             elif kind == "disk":
-                self._sample_disk(resource, sandbox)
+                self._sample_transfers(resource, f"{resource}:ops", sandbox.disk_log)
         # Crowd reads are pure, so sampling them after the sandboxes is the
         # same as sampling in watch order.
         if self._crowd_entries and self.crowd is not None:
@@ -315,52 +318,31 @@ class MonitoringAgent:
         share = min(1.0, d_consumed / (speed * d_runnable))
         self._histories[resource].record(now, share)
 
-    def _sample_network(self, resource: str, sandbox: Sandbox) -> None:
+    def _sample_transfers(self, resource: str, key: str, log: TransferLog) -> None:
         """Effective bandwidth from transfers finished since the last tick.
 
-        Packet-train estimator: for back-to-back deliveries the meaningful
-        interval is the time since the *previous* delivery (the pipe drains
-        continuously), not this message's own queueing delay — otherwise
+        Packet-train estimator: for back-to-back transfers the meaningful
+        interval is the time since the *previous* one ended (the pipe drains
+        continuously), not this transfer's own queueing delay — otherwise
         backlog debt is double-counted and the estimate biases low.
         """
-        recv_key, send_key = self._net_keys[resource]
-        for key, log, dropped_attr in (
-            (recv_key, sandbox.recv_log, "recv_log_dropped"),
-            (send_key, sandbox.send_log, "send_log_dropped"),
-        ):
-            seen = self._net_seen.get(key)
-            dropped = getattr(sandbox, dropped_attr, 0)
-            if seen is None:
-                seen = 0  # first visit records the key, as snapshots show
-            elif seen == dropped + len(log):
-                continue  # nothing delivered since the last tick
-            # The sandbox trims its bounded log from the front; ``seen`` is
-            # an absolute index, so re-anchor it past whatever was dropped.
-            start_idx = max(0, seen - dropped)
-            prev_end = log[start_idx - 1][1] if start_idx > 0 else float("-inf")
-            for start, end, size in log[start_idx:]:
-                duration = end - max(start, prev_end)
-                # Skip control-sized messages: their timing is dominated by
-                # per-message latency, not bandwidth.
-                if duration > 1e-9 and size >= self.min_sample_bytes:
-                    self._histories[resource].record(end, size / duration)
-                prev_end = end
-            self._net_seen[key] = dropped + len(log)
-
-    def _sample_disk(self, resource: str, sandbox: Sandbox) -> None:
-        """Effective disk bandwidth from completed operations."""
-        key = f"{resource}:ops"
-        seen = self._net_seen.get(key, 0)
-        log = sandbox.disk_log
-        dropped = getattr(sandbox, "disk_log_dropped", 0)
-        start_idx = max(0, seen - dropped)
+        seen = self._net_seen.get(key)
+        if seen is None:
+            seen = 0  # first visit records the key, as snapshots show
+        elif seen == log.offset:
+            return  # nothing finished since the last tick
+        # ``seen`` is an absolute index: re-anchor it past whatever the
+        # bounded log trimmed off its front.
+        start_idx = max(0, seen - log.dropped)
         prev_end = log[start_idx - 1][1] if start_idx > 0 else float("-inf")
         for start, end, size in log[start_idx:]:
             duration = end - max(start, prev_end)
+            # Skip control-sized transfers: their timing is dominated by
+            # per-message latency, not bandwidth.
             if duration > 1e-9 and size >= self.min_sample_bytes:
                 self._histories[resource].record(end, size / duration)
             prev_end = end
-        self._net_seen[key] = dropped + len(log)
+        self._net_seen[key] = log.offset
 
     def _sample_memory(self, resource: str, sandbox: Sandbox, now: float) -> None:
         space = sandbox.mem_space

@@ -39,7 +39,7 @@ from .limits import LimiterMode, ResourceLimits
 from .net_limiter import TokenBucket
 from .progress import ProgressEstimator
 
-__all__ = ["Sandbox", "SandboxOp", "SendOp", "RecvOp"]
+__all__ = ["Sandbox", "SandboxOp", "SendOp", "RecvOp", "TransferLog"]
 
 #: Default controller quantum — the paper adjusts priority "every few
 #: milliseconds".
@@ -48,6 +48,32 @@ DEFAULT_QUANTUM = 0.005
 DEFAULT_BURST = 0.02
 #: Default cost of one soft page fault (seconds).
 DEFAULT_FAULT_COST = 5e-5
+
+
+class TransferLog(list):
+    """``(start, end, size)`` of completed transfers, bounded.
+
+    Past 4096 entries :meth:`add` trims the oldest 2048.  ``dropped``
+    counts what was trimmed, so ``offset`` is the absolute index of the
+    next entry: a consumer that holds absolute indices (the monitoring
+    agent) re-anchors after a trim instead of slicing out of range.
+    """
+
+    __slots__ = ("dropped",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dropped = 0
+
+    @property
+    def offset(self) -> int:
+        return self.dropped + len(self)
+
+    def add(self, start: float, end: float, size: float) -> None:
+        self.append((start, end, size))
+        if len(self) > 4096:
+            del self[:2048]
+            self.dropped += 2048
 
 
 class Sandbox:
@@ -112,17 +138,11 @@ class Sandbox:
         self.bytes_sent = 0.0
         self.bytes_received = 0.0
         #: (start, end, size) of completed sends — monitoring-agent input.
-        self.send_log: list = []
+        self.send_log = TransferLog()
         #: (arrival, delivered, size) of completed receives.
-        self.recv_log: list = []
+        self.recv_log = TransferLog()
         #: (start, end, size) of completed disk operations.
-        self.disk_log: list = []
-        # Entries trimmed off the front of each bounded log, so consumers
-        # holding absolute indices (the monitoring agent's ``_net_seen``)
-        # can re-anchor after a trim instead of slicing out of range.
-        self.send_log_dropped = 0
-        self.recv_log_dropped = 0
-        self.disk_log_dropped = 0
+        self.disk_log = TransferLog()
 
         # -- memory ------------------------------------------------------------
         self.mem_space = None
@@ -291,10 +311,7 @@ class Sandbox:
 
         def log(event: Event) -> None:
             if event._ok:
-                self.disk_log.append((start, self.sim.now, nbytes))
-                if len(self.disk_log) > 4096:
-                    del self.disk_log[:2048]
-                    self.disk_log_dropped += 2048
+                self.disk_log.add(start, self.sim.now, nbytes)
 
         if done.callbacks is not None:
             done.callbacks.append(log)
@@ -468,11 +485,7 @@ class SendOp(SandboxOp):
             return
         sandbox = self.sandbox
         sandbox.bytes_sent += self.size
-        log = sandbox.send_log
-        log.append((self.start, sandbox.sim.now, self.size))
-        if len(log) > 4096:
-            del log[:2048]
-            sandbox.send_log_dropped += 2048
+        sandbox.send_log.add(self.start, sandbox.sim.now, self.size)
         self._complete(True, event._value)
 
 
@@ -521,9 +534,5 @@ class RecvOp(SandboxOp):
         # Log (transmission start, delivered, size): the span covers wire
         # time plus any shaping, which is exactly the "effective bandwidth"
         # the monitoring agent must estimate.
-        log = sandbox.recv_log
-        log.append((getattr(msg, "send_time", now), now, msg.size))
-        if len(log) > 4096:
-            del log[:2048]
-            sandbox.recv_log_dropped += 2048
+        sandbox.recv_log.add(getattr(msg, "send_time", now), now, msg.size)
         self._complete(True, msg)

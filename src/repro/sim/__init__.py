@@ -14,7 +14,7 @@ from .core import (
     Timeout,
 )
 from .fluid import FluidJob, FluidShare
-from .primitives import Container, Request, Resource, Store, StoreGet, StorePut
+from .primitives import Store, StoreGet, StorePut
 from .rng import derive_seed, stream
 
 __all__ = [
@@ -34,9 +34,6 @@ __all__ = [
     "Store",
     "StorePut",
     "StoreGet",
-    "Resource",
-    "Request",
-    "Container",
     "FluidShare",
     "FluidJob",
     "AggregateFlow",

@@ -1,10 +1,7 @@
-"""Queueing primitives built on the event kernel.
+"""Queueing primitive built on the event kernel.
 
 - :class:`Store` — FIFO message queue with optional capacity (mailboxes,
   request queues).
-- :class:`Resource` — counted semaphore with FIFO waiters (locks, bounded
-  servers).
-- :class:`Container` — continuous quantity (token buckets, buffers).
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from typing import Any, Deque, Optional
 
 from .core import Event, SimulationError, Simulator
 
-__all__ = ["Store", "StorePut", "StoreGet", "Resource", "Request", "Container"]
+__all__ = ["Store", "StorePut", "StoreGet"]
 
 
 class StorePut(Event):
@@ -133,144 +130,3 @@ class Store:
                 get.succeed(matched)
                 progressed = True
 
-
-class Request(Event):
-    """A pending or held claim on a :class:`Resource` unit.
-
-    Usable as a context manager inside a process::
-
-        with resource.request() as req:
-            yield req
-            ...  # holding one unit
-    """
-
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
-        self.resource = resource
-        resource._waiters.append(self)
-        resource._dispatch()
-
-    def release(self) -> None:
-        self.resource.release(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.release()
-
-
-class Resource:
-    """Counted resource with FIFO granting."""
-
-    def __init__(self, sim: Simulator, capacity: int = 1):
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity!r}")
-        self.sim = sim
-        self.capacity = capacity
-        self._users: list = []
-        self._waiters: Deque[Request] = deque()
-
-    @property
-    def count(self) -> int:
-        """Units currently held."""
-        return len(self._users)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-    def request(self) -> Request:
-        return Request(self)
-
-    def release(self, request: Request) -> None:
-        if request in self._users:
-            self._users.remove(request)
-        else:
-            # Cancelling a queued request is allowed.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                return
-        self._dispatch()
-
-    def _dispatch(self) -> None:
-        while self._waiters and len(self._users) < self.capacity:
-            req = self._waiters.popleft()
-            self._users.append(req)
-            req.succeed()
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError(f"put amount must be positive, got {amount!r}")
-        super().__init__(container.sim)
-        self.amount = amount
-        container._put_waiters.append(self)
-        container._dispatch()
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise SimulationError(f"get amount must be positive, got {amount!r}")
-        super().__init__(container.sim)
-        self.amount = amount
-        container._get_waiters.append(self)
-        container._dispatch()
-
-
-class Container:
-    """A continuous quantity with blocking put/get (e.g. a token bucket)."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise SimulationError(f"capacity must be positive, got {capacity!r}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init {init!r} outside [0, {capacity!r}]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_waiters: Deque[_ContainerPut] = deque()
-        self._get_waiters: Deque[_ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        return _ContainerPut(self, amount)
-
-    def get(self, amount: float) -> _ContainerGet:
-        return _ContainerGet(self, amount)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_waiters:
-                put = self._put_waiters[0]
-                if self._level + put.amount <= self.capacity + 1e-12:
-                    self._put_waiters.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_waiters:
-                get = self._get_waiters[0]
-                if self._level >= get.amount - 1e-12:
-                    self._get_waiters.popleft()
-                    self._level = max(0.0, self._level - get.amount)
-                    get.succeed()
-                    progressed = True

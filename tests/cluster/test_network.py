@@ -192,23 +192,6 @@ def test_duplicate_host_rejected():
         net.register(Host(sim, "x", cpu_speed=1.0))
 
 
-def test_nic_stats_updated():
-    sim = Simulator()
-    net, a, b = make_pair(sim)
-
-    def sender():
-        yield a.send("b", "p", None, size=300.0)
-
-    sim.process(sender())
-    sim.run()
-    assert a.nic_stats.bytes_sent == 300.0
-    assert b.nic_stats.bytes_received == 300.0
-    assert len(b.nic_stats.recv_log) == 1
-    t, size, dur = b.nic_stats.recv_log[0]
-    assert size == 300.0
-    assert dur == pytest.approx(0.3)
-
-
 def test_send_without_network_raises():
     sim = Simulator()
     host = Host(sim, "lonely", cpu_speed=1.0)

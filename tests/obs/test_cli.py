@@ -1,6 +1,7 @@
 """Tests for `repro trace` / `repro metrics` (the observability CLI)."""
 
 import json
+import re
 
 import pytest
 
@@ -126,13 +127,38 @@ def test_report_cli_compare_mode(tmp_path):
     assert "first divergence" in html.lower()
 
 
+def test_report_compare_and_dash_show_the_same_first_divergence(tmp_path):
+    """`repro report X --compare Y` and a `repro dash` page over the same
+    two runs draw one pair section: same divergence key, same chain."""
+    from repro.obs import diff_traces, render_dashboard
+    from repro.obs.cli import _traced_cell
+    from repro.obs.diff import format_key
+
+    out_file = tmp_path / "cmp.html"
+    argv = ["report", "chaos", "--compare", "chaos", "--seed-b", "1"]
+    assert main(argv + ["--out", str(out_file)]) == 0
+    cells = [_traced_cell("chaos", 0), _traced_cell("chaos", 1)]
+    pages = [out_file.read_text(), render_dashboard(cells)]
+
+    def first_divergence(html):
+        key = re.search(r"<h3>First divergence</h3><p><code>(.*?)</code>", html)
+        chain = re.search(r'<ol class="chain">(.*?)</ol>', html)
+        return key.group(1), chain.group(1)
+
+    report_key, report_chain = first_divergence(pages[0])
+    assert first_divergence(pages[1]) == (report_key, report_chain)
+    expected = diff_traces(cells[0]["records"], cells[1]["records"])
+    assert report_key == format_key(expected.first_divergence.key)
+    assert report_chain.count("<li>") == len(expected.first_divergence.causal_chain)
+
+
 def test_report_cli_crowd_section(tmp_path):
     """The crowd run's report carries the per-class QoS + arrival panel."""
     out_file = tmp_path / "crowd.html"
     assert main(["report", "crowd", "--out", str(out_file)]) == 0
     html = out_file.read_text()
     assert "<script" not in html, "report must be self-contained, no JS"
-    assert "<h2>Crowd</h2>" in html
+    assert "<h3>Crowd</h3>" in html
     # One row per class, satisfaction bar plus arrival-rate timeline.
     assert "crowd.free.rate" in html
     assert "crowd.premium.rate" in html

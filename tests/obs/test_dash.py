@@ -74,12 +74,18 @@ def test_divergence_links_pair_same_group_traced_cells():
         dashboard_cell("lone", group="other", records=base),
     ])
     assert "Run-pair divergences" in html
-    # a/b match structurally (sids and times are free to differ) ...
-    assert "identical</span> (2 spans matched)" in html
-    # ... b/c diverge on the renamed child span.
-    assert "diverges" in html
+    pairs = html.split("<h3>Verdict</h3>")[1:]
     # Groups don't cross: 2 pairs within "g", none touching "lone".
-    assert html.count("<tr><td>run") == 2
+    assert len(pairs) == 2
+    assert all("lone" not in pair.split("</table>")[0] for pair in pairs)
+    # a/b match structurally (sids and times are free to differ) ...
+    assert "A: run a" in pairs[0]
+    assert "runs are structurally identical" in pairs[0]
+    assert '<th>matched spans</th><td class="num" colspan="2">2</td>' in pairs[0]
+    # ... b/c diverge on the renamed child span.
+    assert "First divergence" not in pairs[0]
+    assert "A: run b" in pairs[1] and "trace divergence(s)" in pairs[1]
+    assert "First divergence" in pairs[1]
 
 
 def test_load_store_cells_reads_sweep_results(tmp_path):

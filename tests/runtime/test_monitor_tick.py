@@ -199,3 +199,27 @@ def test_check_matches_reference_formula(hysteresis, estimates, conditions):
             agent._histories[resource].record(0.0, est)
     agent.retarget(conditions=conditions)
     assert agent._check_conditions() == parent_check(agent, conditions)
+
+
+def test_transfer_sampling_re_anchors_after_the_log_trims():
+    """Transfers finished between two ticks are read from the first unseen
+    one even when the bounded log trimmed its front meanwhile."""
+    from repro.sandbox.sandbox import TransferLog
+
+    rt = SimpleNamespace(sim=Simulator(), sandboxes={}, finished=None)
+    agent = MonitoringAgent(rt, watch=["b.network"], window=1e6)
+    hist = agent._histories["b.network"]
+    log = TransferLog()
+    for i in range(4000):
+        log.add(float(i), i + 0.5, 8192.0)
+    agent._sample_transfers("b.network", "b.network:recv", log)
+    assert agent._net_seen == {"b.network:recv": 4000} and len(hist) == 4000
+    for i in range(4000, 4200):
+        log.add(float(i), i + 0.25, 8192.0)
+    assert (log.dropped, len(log), log.offset) == (2048, 2152, 4200)
+    hist.clear()
+    agent._sample_transfers("b.network", "b.network:recv", log)
+    assert agent._net_seen == {"b.network:recv": 4200}
+    assert [v for _, v in hist.samples()] == [8192.0 / 0.25] * 200
+    agent._sample_transfers("b.network", "b.network:recv", log)
+    assert len(hist) == 200  # nothing finished since the last tick

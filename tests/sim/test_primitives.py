@@ -1,8 +1,8 @@
-"""Tests for Store / Resource / Container primitives."""
+"""Tests for the Store primitive."""
 
 import pytest
 
-from repro.sim import Container, Resource, SimulationError, Simulator, Store
+from repro.sim import SimulationError, Simulator, Store
 
 
 # ---------------------------------------------------------------- Store
@@ -162,149 +162,3 @@ def test_store_multiple_consumers_fifo():
     sim.run()
     assert got == [("c1", "first"), ("c2", "second")]
 
-
-# ---------------------------------------------------------------- Resource
-
-
-def test_resource_mutual_exclusion():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    trace = []
-
-    def worker(name, hold):
-        with res.request() as req:
-            yield req
-            trace.append((name, "in", sim.now))
-            yield sim.timeout(hold)
-        trace.append((name, "out", sim.now))
-
-    sim.process(worker("a", 2.0))
-    sim.process(worker("b", 1.0))
-    sim.run()
-    assert trace == [
-        ("a", "in", 0.0),
-        ("a", "out", 2.0),
-        ("b", "in", 2.0),
-        ("b", "out", 3.0),
-    ]
-
-
-def test_resource_capacity_two_admits_two():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    entered = []
-
-    def worker(name):
-        with res.request() as req:
-            yield req
-            entered.append((name, sim.now))
-            yield sim.timeout(1.0)
-
-    for name in ("a", "b", "c"):
-        sim.process(worker(name))
-    sim.run()
-    assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
-
-def test_resource_counts():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        with res.request() as req:
-            yield req
-            assert res.count == 1
-            assert res.queue_length == 1  # the waiter below
-            yield sim.timeout(1.0)
-
-    def waiter():
-        with res.request() as req:
-            yield req
-
-    sim.process(holder())
-    sim.process(waiter())
-    sim.run()
-    assert res.count == 0
-
-
-def test_resource_cancel_queued_request():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield sim.timeout(10.0)
-
-    def impatient():
-        req = res.request()
-        yield sim.timeout(1.0)
-        req.release()  # cancel while still queued
-        return res.queue_length
-
-    sim.process(holder())
-    proc = sim.process(impatient())
-    sim.run()
-    assert proc.value == 0
-
-
-def test_resource_invalid_capacity():
-    with pytest.raises(SimulationError):
-        Resource(Simulator(), capacity=0)
-
-
-# ---------------------------------------------------------------- Container
-
-
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=0.0)
-    times = {}
-
-    def consumer():
-        yield tank.get(5.0)
-        times["got"] = sim.now
-
-    def producer():
-        yield sim.timeout(1.0)
-        yield tank.put(3.0)
-        yield sim.timeout(1.0)
-        yield tank.put(3.0)
-
-    sim.process(consumer())
-    sim.process(producer())
-    sim.run()
-    assert times["got"] == 2.0
-    assert tank.level == pytest.approx(1.0)
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=5.0, init=5.0)
-    times = {}
-
-    def producer():
-        yield tank.put(2.0)
-        times["put"] = sim.now
-
-    def consumer():
-        yield sim.timeout(4.0)
-        yield tank.get(3.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert times["put"] == 4.0
-
-
-def test_container_validation():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=0)
-    with pytest.raises(SimulationError):
-        Container(sim, capacity=1.0, init=2.0)
-    tank = Container(sim, capacity=1.0)
-    with pytest.raises(SimulationError):
-        tank.put(0)
-    with pytest.raises(SimulationError):
-        tank.get(-1.0)

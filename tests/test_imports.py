@@ -96,7 +96,7 @@ def test_chaos_run_loads_no_scipy():
 def test_experiments_import_leaves_obs_tools_unloaded():
     # Every experiment imports repro.obs (the recorder and the Instruments
     # bundle); its viewers load on first use.
-    tools = ("repro.obs.dash", "repro.obs.interactive", "repro.obs.report")
+    tools = ("repro.obs.dash", "repro.obs.interactive")
     assert "repro.obs" in _loaded_after(ALL_EXPERIMENT_MODULES, ("repro.obs",))
     assert _loaded_after(ALL_EXPERIMENT_MODULES, tools) == []
 
