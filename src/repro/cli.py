@@ -14,9 +14,11 @@ Usage::
     python -m repro.cli metrics chaos # traced run: metrics snapshot
     python -m repro.cli usage chaos   # usage account: who consumed what
     python -m repro.cli diff chaos chaos --seed-b 1  # first divergence
+    python -m repro.cli diff chaos chaos@1  # the same: seed 1 in the source
     python -m repro.cli report chaos --out report.html  # HTML report
     python -m repro.cli perf chaos --flame  # kernel flamegraph (folded)
     python -m repro.cli dash fig5-sweep chaos recovery  # fleet dashboard
+    python -m repro.cli dash chaos@0 chaos@1  # two seeds on one page
     python -m repro.cli bench check   # compare benchmarks vs baselines
     python -m repro.cli sweep toy --jobs 4   # standalone sweep engine run
 """

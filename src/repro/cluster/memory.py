@@ -101,10 +101,6 @@ class MemorySpace:
         while len(self._resident) > self.resident_limit:
             self._resident.popitem(last=False)
 
-    def alloc(self, pages: Iterable[int]) -> None:
-        """Map virtual pages (no physical residency yet)."""
-        self.allocated.update(int(p) for p in pages)
-
     def alloc_range(self, start: int, count: int) -> range:
         pages = range(start, start + count)
         self.allocated.update(pages)

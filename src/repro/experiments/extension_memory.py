@@ -51,36 +51,11 @@ def memory_database(
     def workload(config, point, run_seed):
         return MemWorkload(sweeps=8)
 
-    driver = ProfilingDriver(app, dims, workload_factory=workload, seed=seed)
     # The profiling sandboxes must model expensive (disk-backed) faults.
-    original_measure = driver.measure
-
-    def measure_with_fault_cost(config, point):
-        # Rebuild the one-off path with sandbox kwargs: reuse driver
-        # internals by temporarily instantiating manually.
-        from ..sim import derive_seed
-
-        run_seed = derive_seed(driver.seed, f"{config.label()}|{point.label()}")
-        testbed = Testbed(host_specs=app.env.host_specs(), seed=run_seed)
-        rt = app.instantiate(
-            testbed,
-            config,
-            limits={"node": ResourceLimits(mem_pages=int(point["node.memory"]))},
-            workload=workload(config, point, run_seed),
-            seed=run_seed,
-            sandbox_kwargs={"fault_cost": FAULT_COST},
-        )
-        testbed.run_until_finished([rt], until=driver.max_run_time)
-        from ..profiling import Record
-
-        return Record(
-            config=config,
-            point=point,
-            metrics=rt.qos.snapshot(),
-            meta={"seed": run_seed},
-        )
-
-    driver.measure = measure_with_fault_cost
+    driver = ProfilingDriver(
+        app, dims, workload_factory=workload, seed=seed,
+        sandbox_kwargs={"fault_cost": FAULT_COST},
+    )
     db = driver.profile()
     return db, app.configurations()
 

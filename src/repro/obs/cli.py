@@ -1,28 +1,30 @@
-"""Observability CLI: trace, metrics, usage, diff, and report.
+"""Observability CLI: trace, metrics, usage, diff, report, perf and dash.
 
-Runs a traced experiment and renders what the recorder captured::
+Runs instrumented experiments and renders what they recorded::
 
     python -m repro.cli trace chaos              # human-readable timeline
-    python -m repro.cli trace chaos --json       # JSONL span records
+    python -m repro.cli trace chaos@1 --json     # JSONL span records, seed 1
     python -m repro.cli trace chaos --chrome     # chrome://tracing JSON
     python -m repro.cli metrics fig6a            # metrics table
     python -m repro.cli metrics chaos --json     # metrics snapshot JSON
     python -m repro.cli metrics chaos --format csv   # deterministic CSV
     python -m repro.cli usage chaos              # where the resources went
     python -m repro.cli diff chaos chaos --seed-b 1  # first divergence
-    python -m repro.cli diff a.jsonl b.jsonl     # diff two trace exports
+    python -m repro.cli diff a.jsonl chaos@1     # a trace export vs a run
     python -m repro.cli report chaos --out report.html
-    python -m repro.cli report chaos --compare chaos --seed-b 1
+    python -m repro.cli report chaos --compare chaos@1
     python -m repro.cli perf chaos              # kernel cost buckets
     python -m repro.cli perf chaos --flame      # collapsed-stack folded
     python -m repro.cli perf fig5 --json        # full profile summary
     python -m repro.cli dash fig5-sweep chaos recovery --out fleet.html
+    python -m repro.cli dash chaos@0 chaos@1    # two seeds side by side
 
-The experiments are the entries of :data:`repro.scenarios.SCENARIOS`;
-``dash`` runs its Scene entries.  Everything printed is a pure function
-of ``(experiment, seed)``: traced runs are byte-identical to untraced
-ones, and the trace itself is deterministic (see
-``docs/observability.md``).
+:func:`_read_source` reads every source: a :data:`repro.scenarios.SCENARIOS`
+entry as ``name`` (at ``--seed``), ``name@N`` or ``name@seed=N``, and where
+the mode takes them a trace ``.jsonl``, a result-store directory or
+``fig5-sweep``.  Output is a pure function of the sources: traced runs are
+byte-identical to untraced ones, and the trace itself is deterministic
+(see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 from typing import List, Optional
 
@@ -62,12 +65,10 @@ def _record_line(record) -> str:
 
 
 def _render_timeline(recorder: TraceRecorder, limit: Optional[int]) -> str:
-    lines = []
     records = ordered(recorder.records)
     shown = records if limit is None else records[:limit]
-    lines.append(f"== trace: {len(records)} records ==")
-    for record in shown:
-        lines.append(_record_line(record))
+    lines = [f"== trace: {len(records)} records =="]
+    lines += [_record_line(record) for record in shown]
     if limit is not None and len(records) > limit:
         lines.append(f"... {len(records) - limit} more (use --limit 0 for all)")
     chains = adaptation_chains(recorder.records)
@@ -225,9 +226,9 @@ def _render_perf(profiler, experiment: str, seed: int) -> str:
     return "\n".join(lines)
 
 
-def _render_diff(result, metrics_delta: Optional[dict]) -> str:
+def _render_diff(result, metrics_delta: Optional[dict], identical: bool) -> str:
     lines = []
-    if result.identical and (metrics_delta is None or metrics_delta["identical"]):
+    if identical:
         lines.append(
             f"== traces are structurally identical "
             f"({result.matched} spans matched) =="
@@ -282,48 +283,93 @@ def _write_or_print(text: str, out: Optional[Path]) -> None:
         print(text)
 
 
-def _traced_cell(
-    experiment: str, seed: int, with_usage: bool = True, profiler=None,
-    group: Optional[str] = None,
-) -> dict:
-    """Run one experiment traced (and optionally usage-accounted), as a cell."""
-    from .dash import dashboard_cell_from_run
+#: How each run-source kind is written (see docs/observability.md):
+#: ``scenario`` is any entry of :data:`SCENARIOS`, ``scene`` a Scene one.
+_KINDS = {
+    "trace": "a trace .jsonl file",
+    "store": "a result-store directory",
+    "fig5-sweep": "'fig5-sweep'",
+    "scenario": "a scenario[@seed]",
+    "scene": "a scene[@seed]",
+}
+#: The kinds a mode's sources may be, in the order they are tried
+#: (``report --compare`` reads as ``diff``; other modes a scenario).
+_READS = {
+    "diff": ("trace", "scenario"),
+    "dash": ("trace", "store", "fig5-sweep", "scene"),
+}
 
+#: One run source: its kind ("trace", "store", "fig5-sweep" or
+#: "scenario"), its name (a scenario, or the path given) and its seed.
+Source = namedtuple("Source", "kind name seed")
+
+
+def _read_source(parser, text: str, seed: int, kinds) -> Source:
+    """The one reader of a run-source string, ``seed`` its default seed.
+
+    Paths are tried first, so a file or directory whose name holds an
+    ``@`` still reads as a path.  ``scene@N`` and ``scene@seed=N`` (the
+    form cell labels print) name the seed.  A source ``kinds`` does not
+    cover is an argparse usage error (exit 2) that lists them.
+    """
+    path = Path(text)
+    if "trace" in kinds and path.is_file():
+        return Source("trace", text, seed)
+    if "store" in kinds and path.is_dir() and sorted(path.rglob("*.json")):
+        return Source("store", text, seed)
+    name, at, seed_text = text.partition("@")
+    if at:
+        try:
+            seed = int(seed_text.removeprefix("seed="))
+        except ValueError:
+            name = ""
+    if name == "fig5-sweep" and "fig5-sweep" in kinds:
+        return Source("fig5-sweep", name, seed)
+    names = scene_names() if "scene" in kinds else sorted(SCENARIOS)
+    if name in names:
+        return Source("scenario", name, seed)
+    expected = " or ".join(_KINDS[kind] for kind in kinds)
+    parser.error(
+        f"no source {text!r}: expected {expected} (choose from {', '.join(names)})"
+    )
+
+
+def _run(source: Source, instruments: Instruments) -> Optional[dict]:
+    """Run a scenario source with ``instruments`` attached; its payload
+    (None for a sweep)."""
+    result = run_scenario(source.name, source.seed, **vars(instruments))
+    return None if source.name in SWEEPS else result[1]
+
+
+def _cells(
+    source: Source, args, usage=True, profiler=None, group=None
+) -> List[dict]:
+    """A source as page cells; a scenario runs traced (and by default
+    usage-accounted)."""
+    from .dash import dashboard_cell, dashboard_cell_from_run, load_store_cells
+
+    if source.kind == "trace":
+        records = from_jsonl(Path(source.name).read_text())
+        return [dashboard_cell(source.name, group=group, records=records)]
+    if source.kind == "store":
+        return load_store_cells(source.name)
+    if source.kind == "fig5-sweep":
+        return _fig5_sweep_cells(source.seed, args.cache, args.jobs)
     recorder = TraceRecorder()
-    usage = None
-    if with_usage:
+    instruments = Instruments(
+        recorder,
         # Share the recorder's registry so usage.* series appear in the
         # metrics snapshot (and therefore in pages and CSV exports).
-        usage = UsageAccountant(metrics=recorder.metrics)
-    result = run_scenario(
-        experiment, seed, recorder=recorder, usage=usage, profiler=profiler
+        UsageAccountant(metrics=recorder.metrics) if usage else None,
+        profiler,
     )
-    return dashboard_cell_from_run(
-        f"{experiment}@seed={seed}",
-        Instruments(recorder, usage, profiler),
-        payload=None if experiment in SWEEPS else result[1],
-        group=group,
-        seed=seed,
-    )
-
-
-def _load_side(
-    source: str, seed: int, with_usage: bool = False, group: Optional[str] = None
-) -> dict:
-    """A diff or comparison operand as a cell: a trace .jsonl, or a run."""
-    path = Path(source)
-    if source.endswith(".jsonl") or path.is_file():
-        from .dash import dashboard_cell
-
-        return dashboard_cell(
-            source, group=group, records=from_jsonl(path.read_text())
+    payload = _run(source, instruments)
+    label = f"{source.name}@seed={source.seed}"
+    return [
+        dashboard_cell_from_run(
+            label, instruments, payload=payload, group=group, seed=source.seed
         )
-    if source not in SCENARIOS:
-        raise SystemExit(
-            f"repro diff: {source!r} is neither a trace .jsonl file nor an "
-            f"experiment ({', '.join(sorted(SCENARIOS))})"
-        )
-    return _traced_cell(source, seed, with_usage, group=group)
+    ]
 
 
 #: The built-in ``fig5-sweep`` source: a 2x2 (cpu share x fovea size)
@@ -363,261 +409,174 @@ def _fig5_sweep_cells(seed: int, cache: Path, jobs: int) -> List[dict]:
                     key=f"cpu={share:g}/dR={fovea}",
                 )
             )
-    engine = SweepEngine(jobs=jobs, store=ResultStore(cache))
-    report = engine.run(specs)
+    report = SweepEngine(jobs=jobs, store=ResultStore(cache)).run(specs)
+    usage = {outcome.key: outcome.usage for outcome in report.outcomes}
     return [
         dashboard_cell(
-            label, group="fig5-sweep",
-            payload=report.value(spec.key),
-            usage=next(
-                (r.usage for r in report.outcomes if r.key == spec.key), None
-            ),
-            seed=seed,
+            label, group="fig5-sweep", payload=report.value(spec.key),
+            usage=usage.get(spec.key), seed=seed,
         )
         for label, spec in zip(labels, specs)
     ]
 
 
-def _dash_main(argv: List[str]) -> int:
-    """Entry point for ``repro dash <sources...>`` (multi-run dashboard)."""
-    from .dash import load_store_cells, render_dashboard
+_SWITCH = {"action": "store_true"}
+#: Each mode's own flags, added after the shared ones.
+_FLAGS = {
+    "trace": {
+        "--chrome": dict(_SWITCH, help="chrome://tracing / Perfetto JSON"),
+        "--limit": dict(type=int, default=40, help="timeline rows (0 = all)"),
+    },
+    "metrics": {
+        "--format": dict(choices=("table", "csv", "json"), default="table"),
+    },
+    "usage": {
+        "--resolution": dict(type=float, default=1.0, help="series resolution"),
+    },
+    "diff": {"--seed-b": dict(type=int, help="default seed of the second source")},
+    "report": {
+        "--compare": dict(metavar="B", help="second source of a comparison page"),
+        "--seed-b": dict(type=int, help="default seed of the --compare source"),
+        "--perf": dict(_SWITCH, help="attach a kernel profiler"),
+    },
+    "perf": {
+        "--flame": dict(_SWITCH, help="collapsed-stack folded output"),
+        "--chrome": dict(_SWITCH, help="chrome://tracing flame chart"),
+    },
+    "dash": {
+        "--jobs": dict(type=int, default=2, help="fig5-sweep worker processes"),
+        "--cache": dict(type=Path, default=Path(".repro_cache/dash"),
+                        help="result store backing the fig5-sweep source"),
+        "--title": dict(help="page title"),
+    },
+}
 
+
+def _parser(mode: str) -> argparse.ArgumentParser:
+    """The one argument grammar: the shared arguments, then ``mode``'s."""
     parser = argparse.ArgumentParser(
-        prog="repro dash",
-        description="Aggregate N runs/cells into one fleet-dashboard HTML page.",
+        prog=f"repro {mode}",
+        description="Run experiments with their instruments attached and "
+        "render what they recorded.",
     )
+    kinds = _READS.get(mode, ("scenario",))
     parser.add_argument(
-        "sources", nargs="+",
-        help="traced experiments (%s), 'fig5-sweep' (2x2 grid via the exec "
-        "engine), or repro.exec result-store directories"
-        % ", ".join(scene_names()),
+        "sources", nargs={"diff": 2, "dash": "+"}.get(mode, 1), metavar="source",
+        help=" or ".join(_KINDS[kind] for kind in kinds),
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for every run")
+    parser.add_argument("--seed", type=int, default=0, help="seed if no @N")
+    if mode != "dash":
+        parser.add_argument(
+            "--json", action="store_true",
+            help="machine-readable JSON instead of the human rendering",
+        )
     parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes for the fig5-sweep source",
+        "--out", type=Path, help="output file (report and dash default to a page)"
     )
-    parser.add_argument(
-        "--cache", type=Path, default=Path(".repro_cache/dash"),
-        help="result-store directory backing the fig5-sweep source",
-    )
-    parser.add_argument("--title", default=None, help="page title")
-    parser.add_argument(
-        "--out", type=Path, default=Path("fleet_dashboard.html"),
-        help="output HTML file",
-    )
-    args = parser.parse_args(argv)
+    for flag, kwargs in _FLAGS[mode].items():
+        parser.add_argument(flag, **kwargs)
+    return parser
 
-    cells: List[dict] = []
-    for source in args.sources:
-        if source in scene_names():
-            cells.append(_traced_cell(source, args.seed))
-        elif source == "fig5-sweep":
-            cells.extend(_fig5_sweep_cells(args.seed, args.cache, args.jobs))
-        elif Path(source).is_dir():
-            store_cells = load_store_cells(source)
-            if not store_cells:
-                raise SystemExit(
-                    f"repro dash: no result-store entries under {source!r}"
-                )
-            cells.extend(store_cells)
-        else:
-            raise SystemExit(
-                f"repro dash: {source!r} is neither a runnable scenario "
-                f"({', '.join(scene_names())}), 'fig5-sweep', nor a "
-                "result-store directory"
-            )
-    title = args.title or (
-        f"repro fleet dashboard: {', '.join(args.sources)} (seed {args.seed})"
-    )
-    _write_or_print(render_dashboard(cells, title=title), args.out)
-    return 0
+
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True)
 
 
 def obs_main(argv: List[str]) -> int:
-    """Entry point for ``repro trace|metrics|usage|diff|report|dash ...``."""
+    """Entry point for ``repro trace|metrics|usage|diff|report|perf|dash``."""
     mode = argv[0]  # vetted by the dispatcher
-    if mode == "dash":
-        return _dash_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog=f"repro {mode}",
-        description="Run an experiment with tracing and render the result.",
-    )
-    if mode == "diff":
-        parser.add_argument(
-            "a", help="experiment name or trace .jsonl file (run A)"
-        )
-        parser.add_argument(
-            "b", help="experiment name or trace .jsonl file (run B)"
-        )
-        parser.add_argument(
-            "--seed", type=int, default=0, help="seed for run A (and B unless --seed-b)"
-        )
-        parser.add_argument(
-            "--seed-b", type=int, default=None, help="seed for run B"
-        )
-    else:
-        parser.add_argument(
-            "experiment", choices=sorted(SCENARIOS), help="experiment to run"
-        )
-        parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--json", action="store_true",
-        help="machine-readable JSON instead of the human rendering",
-    )
-    if mode == "trace":
-        parser.add_argument(
-            "--chrome", action="store_true",
-            help="chrome://tracing / Perfetto trace_event JSON",
-        )
-        parser.add_argument(
-            "--limit", type=int, default=40,
-            help="max timeline rows in human output (0 = all)",
-        )
-    if mode == "metrics":
-        parser.add_argument(
-            "--format", choices=("table", "csv", "json"), default="table",
-            help="output format (csv columns/rows are deterministic)",
-        )
-    if mode == "usage":
-        parser.add_argument(
-            "--resolution", type=float, default=1.0,
-            help="virtual-time resolution of the utilization series",
-        )
-    if mode == "report":
-        parser.add_argument(
-            "--compare", default=None, metavar="B",
-            help="second experiment (or trace .jsonl) for a comparison report",
-        )
-        parser.add_argument(
-            "--seed-b", type=int, default=None,
-            help="seed for the comparison run (defaults to --seed)",
-        )
-        parser.add_argument(
-            "--perf", action="store_true",
-            help="attach a kernel profiler and add a perf section",
-        )
-    if mode == "perf":
-        parser.add_argument(
-            "--flame", action="store_true",
-            help="collapsed-stack folded output for flamegraph tools",
-        )
-        parser.add_argument(
-            "--chrome", action="store_true",
-            help="chrome://tracing flame-chart JSON of the cost buckets",
-        )
-    parser.add_argument(
-        "--out", type=Path, default=None, help="write to file instead of stdout"
-    )
+    parser = _parser(mode)
     args = parser.parse_args(argv[1:])
+    texts = [(text, _READS.get(mode, ("scenario",))) for text in args.sources]
+    if getattr(args, "compare", None) is not None:
+        texts.append((args.compare, _READS["diff"]))
+    seed_b = getattr(args, "seed_b", None)
+    seed_b = args.seed if seed_b is None else seed_b
+    sources = [
+        _read_source(parser, text, seed_b if i else args.seed, kinds)
+        for i, (text, kinds) in enumerate(texts)
+    ]
+    source, out, code = sources[0], args.out, 0
+    header = {"experiment": source.name, "seed": source.seed}
+    if mode in ("trace", "metrics", "usage"):
+        recorder = TraceRecorder()
+        usage = None
+        if mode == "usage":
+            usage = UsageAccountant(
+                metrics=recorder.metrics, resolution=args.resolution
+            )
+        _run(source, Instruments(recorder, usage))
 
-    if mode == "diff":
-        seed_b = args.seed if args.seed_b is None else args.seed_b
-        side_a = _load_side(args.a, args.seed)
-        side_b = _load_side(args.b, seed_b)
-        label_a, snap_a = side_a["label"], side_a["metrics"]
-        label_b, snap_b = side_b["label"], side_b["metrics"]
-        result = diff_traces(side_a["records"], side_b["records"])
-        metrics_delta = (
-            diff_metrics(snap_a, snap_b)
-            if snap_a is not None and snap_b is not None
-            else None
+    if mode == "dash":
+        from .dash import render_dashboard
+
+        cells = [cell for src in sources for cell in _cells(src, args)]
+        title = args.title or (
+            f"repro fleet dashboard: {', '.join(args.sources)} (seed {args.seed})"
         )
+        text = render_dashboard(cells, title=title)
+        out = out or Path("fleet_dashboard.html")
+    elif mode == "report":
+        from .dash import render_dashboard
+        from .perf import KernelProfiler
+
+        profiler = KernelProfiler(full=True) if args.perf else None
+        cells = _cells(source, args, profiler=profiler)
+        title = f"repro report: {source.name} (seed {source.seed})"
+        if len(sources) == 2:
+            cells += _cells(sources[1], args, group=cells[0]["group"])
+            title = f"repro report: {source.name} vs {sources[1].name}"
+        text = render_dashboard(cells, title=title)
+        out = out or Path(f"report_{source.name}.html")
+    elif mode == "diff":
+        side_a, side_b = (_cells(src, args, usage=False)[0] for src in sources)
+        snap_a, snap_b = side_a["metrics"], side_b["metrics"]
+        result = diff_traces(side_a["records"], side_b["records"])
+        metrics_delta = None
+        if snap_a is not None and snap_b is not None:
+            metrics_delta = diff_metrics(snap_a, snap_b)
+        identical = result.identical and (
+            metrics_delta is None or metrics_delta["identical"]
+        )
+        code = 0 if identical else 1
+        label_a, label_b = side_a["label"], side_b["label"]
         if args.json:
             payload = {"a": label_a, "b": label_b, **result.to_dict()}
             if metrics_delta is not None:
                 payload["metrics"] = metrics_delta
-            text = json.dumps(payload, indent=1, sort_keys=True)
+            text = _dump(payload)
         else:
             text = f"A: {label_a}\nB: {label_b}\n" + _render_diff(
-                result, metrics_delta
+                result, metrics_delta, identical
             )
-        _write_or_print(text, args.out)
-        identical = result.identical and (
-            metrics_delta is None or metrics_delta["identical"]
-        )
-        return 0 if identical else 1
-
-    if mode == "usage":
-        recorder = TraceRecorder()
-        usage = UsageAccountant(
-            metrics=recorder.metrics, resolution=args.resolution
-        )
-        run_scenario(args.experiment, args.seed, recorder=recorder, usage=usage)
-        if args.json:
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
-                "usage": usage.summary(),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
-        else:
-            text = _render_usage(usage)
-        _write_or_print(text, args.out)
-        return 0
-
-    if mode == "perf":
+    elif mode == "perf":
         from .perf import KernelProfiler, to_chrome_profile, to_folded
 
         # Full fidelity (every step observed): a one-off profile capture
         # wants exact attribution and census, not low overhead.
         profiler = KernelProfiler(full=True)
-        run_scenario(args.experiment, args.seed, profiler=profiler)
+        _run(source, Instruments(profiler=profiler))
         if args.flame:
             text = to_folded(profiler)
         elif args.chrome:
             text = json.dumps(to_chrome_profile(profiler), sort_keys=True)
         elif args.json:
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
-                "perf": profiler.summary(),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
+            text = _dump({**header, "perf": profiler.summary()})
         else:
-            text = _render_perf(profiler, args.experiment, args.seed)
-        _write_or_print(text, args.out)
-        return 0
-
-    if mode == "report":
-        from .dash import render_dashboard
-
-        profiler = None
-        if args.perf:
-            from .perf import KernelProfiler
-
-            profiler = KernelProfiler(full=True)
-        cells = [_traced_cell(args.experiment, args.seed, profiler=profiler)]
-        title = f"repro report: {args.experiment} (seed {args.seed})"
-        if args.compare is not None:
-            seed_b = args.seed if args.seed_b is None else args.seed_b
-            cells.append(
-                _load_side(
-                    args.compare, seed_b, with_usage=True, group=cells[0]["group"]
-                )
-            )
-            title = f"repro report: {args.experiment} vs {args.compare}"
-        out = args.out
-        if out is None:
-            out = Path(f"report_{args.experiment}.html")
-        _write_or_print(render_dashboard(cells, title=title), out)
-        return 0
-
-    recorder = TraceRecorder()
-    run_scenario(args.experiment, args.seed, recorder=recorder)
-
-    if mode == "metrics":
-        fmt = args.format
+            text = _render_perf(profiler, source.name, source.seed)
+    elif mode == "usage":
         if args.json:
-            fmt = "json"
+            text = _dump({**header, "usage": usage.summary()})
+        else:
+            text = _render_usage(usage)
+    elif mode == "metrics":
+        fmt = "json" if args.json else args.format
         if fmt == "json":
-            payload = {
-                "experiment": args.experiment,
-                "seed": args.seed,
+            text = _dump({
+                **header,
                 "metrics": recorder.metrics.snapshot(),
                 "summary": summary(recorder.records),
-            }
-            text = json.dumps(payload, indent=1, sort_keys=True)
+            })
         elif fmt == "csv":
             text = _metrics_csv(recorder.metrics.snapshot())
         else:
@@ -627,11 +586,9 @@ def obs_main(argv: List[str]) -> int:
     elif args.json:
         text = to_jsonl(recorder.records)
     else:
-        text = _render_timeline(
-            recorder, None if args.limit == 0 else args.limit
-        )
-    _write_or_print(text, args.out)
-    return 0
+        text = _render_timeline(recorder, None if args.limit == 0 else args.limit)
+    _write_or_print(text, out)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via repro.cli

@@ -20,7 +20,7 @@ resulting database is byte-identical.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..obs import Instruments
 from ..sandbox import LimiterMode, Testbed
@@ -47,6 +47,7 @@ class ProfilingDriver:
         max_run_time: float = 3600.0,
         app_spec=None,
         instruments: Instruments = Instruments(),
+        sandbox_kwargs: Optional[Mapping[str, Any]] = None,
     ):
         names = [d.name for d in dims]
         if len(set(names)) != len(names):
@@ -76,6 +77,10 @@ class ProfilingDriver:
         #: of :meth:`profile`/:meth:`profile_adaptive` (workers must be
         #: able to rebuild the app from pure data).
         self.app_spec = app_spec
+        #: Extra :class:`~repro.sandbox.Sandbox` arguments for every
+        #: measured run (``{"fault_cost": ...}`` for disk-backed paging);
+        #: like the instruments, not consulted on the engine path.
+        self.sandbox_kwargs = sandbox_kwargs
         self.runs = 0
 
     def measure(self, config: Configuration, point: ResourcePoint) -> Record:
@@ -107,6 +112,7 @@ class ProfilingDriver:
                 limits=limits_for_point(point),
                 workload=workload,
                 seed=run_seed,
+                sandbox_kwargs=self.sandbox_kwargs,
             )
             testbed.run_until_finished([rt], until=self.max_run_time)
         finally:

@@ -39,7 +39,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 from ..sandbox.sandbox import SandboxOp
 from ..sim import Process, Simulator, stream
 from ..sim.primitives import StoreGet
-from .checkpoint import Checkpoint, CheckpointStore
+from .checkpoint import CheckpointStore
 from .policy import RecoveryError, RestartPolicy
 
 __all__ = ["Supervisor", "SupervisedService"]
@@ -377,13 +377,6 @@ class Supervisor:
             self.store.save(name, time, svc.snapshot())
             if obs is not None:
                 obs.metrics.counter("recovery.checkpoints").inc()
-
-    def checkpoint_now(self, name: str) -> Optional[Checkpoint]:
-        """Snapshot one service immediately (failover replication)."""
-        svc = self.services.get(name)
-        if svc is None or svc.snapshot is None or svc.state != UP:
-            return None
-        return self.store.save(name, self.sim.now, svc.snapshot())
 
     # -- lifecycle / accounting ---------------------------------------------
     def shutdown(self) -> None:

@@ -58,7 +58,3 @@ class ResourceLimits:
     def with_(self, **changes) -> "ResourceLimits":
         """Functional update (used when the testbed varies one resource)."""
         return replace(self, **changes)
-
-    @staticmethod
-    def unlimited() -> "ResourceLimits":
-        return ResourceLimits()

@@ -290,10 +290,6 @@ class Sandbox:
         """
         return RecvOp(self, port, filter)
 
-    def note_received(self, msg) -> None:
-        """Record reception for bandwidth accounting (raw-mailbox paths)."""
-        self.bytes_received += msg.size
-
     # ----------------------------------------------------------------- disk
     def disk_read(self, nbytes: float) -> Event:
         """Read from the host disk, capped at the sandbox's disk bandwidth."""

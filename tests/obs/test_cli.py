@@ -128,17 +128,17 @@ def test_report_cli_compare_mode(tmp_path):
 
 
 def test_report_compare_and_dash_show_the_same_first_divergence(tmp_path):
-    """`repro report X --compare Y` and a `repro dash` page over the same
+    """`repro report X --compare Y` and `repro dash X@0 X@1` over the same
     two runs draw one pair section: same divergence key, same chain."""
-    from repro.obs import diff_traces, render_dashboard
-    from repro.obs.cli import _traced_cell
+    from repro.obs import diff_traces, from_jsonl
     from repro.obs.diff import format_key
 
-    out_file = tmp_path / "cmp.html"
+    report, dash = tmp_path / "cmp.html", tmp_path / "dash.html"
     argv = ["report", "chaos", "--compare", "chaos", "--seed-b", "1"]
-    assert main(argv + ["--out", str(out_file)]) == 0
-    cells = [_traced_cell("chaos", 0), _traced_cell("chaos", 1)]
-    pages = [out_file.read_text(), render_dashboard(cells)]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert main(["dash", "chaos@0", "chaos@1", "--out", str(dash)]) == 0
+    pages = [report.read_text(), dash.read_text()]
+    assert "chaos@seed=0" in pages[1] and "chaos@seed=1" in pages[1]
 
     def first_divergence(html):
         key = re.search(r"<h3>First divergence</h3><p><code>(.*?)</code>", html)
@@ -147,9 +147,79 @@ def test_report_compare_and_dash_show_the_same_first_divergence(tmp_path):
 
     report_key, report_chain = first_divergence(pages[0])
     assert first_divergence(pages[1]) == (report_key, report_chain)
-    expected = diff_traces(cells[0]["records"], cells[1]["records"])
+    traces = []
+    for seed in (0, 1):
+        out_file = tmp_path / f"chaos{seed}.jsonl"
+        assert main(["trace", f"chaos@{seed}", "--json", "--out", str(out_file)]) == 0
+        traces.append(from_jsonl(out_file.read_text()))
+    expected = diff_traces(*traces)
     assert report_key == format_key(expected.first_divergence.key)
     assert report_chain.count("<li>") == len(expected.first_divergence.causal_chain)
+
+
+def test_compare_source_seed_matches_seed_b(tmp_path):
+    """`--compare chaos@1` names the seed that `--seed-b 1` defaults."""
+    pages = []
+    for compare in (["chaos@1"], ["chaos", "--seed-b", "1"]):
+        out_file = tmp_path / f"cmp{len(pages)}.html"
+        argv = ["report", "chaos", "--compare", *compare, "--out", str(out_file)]
+        assert main(argv) == 0
+        pages.append(out_file.read_bytes())
+    assert pages[0] == pages[1]
+
+
+@pytest.mark.parametrize("spelling", ["chaos@1", "chaos@seed=1"])
+def test_source_seed_matches_seed_flag(spelling, capsys):
+    assert main(["trace", spelling, "--json"]) == 0
+    at_seed = capsys.readouterr().out
+    assert main(["trace", "chaos", "--seed", "1", "--json"]) == 0
+    assert at_seed == capsys.readouterr().out
+    assert main(["trace", "chaos", "--json"]) == 0
+    assert at_seed != capsys.readouterr().out
+
+
+def test_source_path_with_an_at_sign_reads_as_a_path(tmp_path, capsys):
+    trace = tmp_path / "chaos@1.jsonl"
+    assert main(["trace", "chaos", "--json", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    assert main(["diff", str(trace), "chaos"]) == 0
+    assert "identical" in capsys.readouterr().out
+    page = tmp_path / "dash.html"
+    assert main(["dash", str(trace), "chaos", "--out", str(page)]) == 0
+    assert f"cell 0: {trace}" in page.read_text()
+
+
+@pytest.mark.parametrize("bad", ["nope", "nosuch.jsonl"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["trace", "{}"], "a scenario[@seed]"),
+        (["diff", "{}", "chaos"], "a trace .jsonl file or a scenario[@seed]"),
+        (
+            ["report", "chaos", "--compare", "{}"],
+            "a trace .jsonl file or a scenario[@seed]",
+        ),
+        (
+            ["dash", "chaos", "{}"],
+            "a trace .jsonl file or a result-store directory or 'fig5-sweep' "
+            "or a scene[@seed]",
+        ),
+    ],
+)
+def test_bad_source_is_one_usage_error(argv, expected, bad, tmp_path, capsys):
+    """An unknown name or a missing path: exit 2, one message naming the
+    mode and the kinds it reads, and nothing run."""
+    argv = [arg.format(bad) for arg in argv]
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert stop.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.splitlines()[-1]
+    assert message.startswith(f"repro {argv[0]}: error: no source {bad!r}: ")
+    assert f"expected {expected} (choose from " in message
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_cli_crowd_section(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 
+from repro.cli import main
 from repro.obs import (
     InteractiveContext,
     dashboard_cell,
@@ -121,6 +122,12 @@ def test_load_store_cells_reads_sweep_results(tmp_path):
     html = render_dashboard(cells)
     assert "qos: response_time" in html
     assert "metrics.response_time" in html  # per-cell Result table
+
+    # `repro dash DIR` reads the directory as a store source.
+    page = tmp_path / "store.html"
+    assert main(["dash", str(tmp_path), "--out", str(page)]) == 0
+    title = f"repro fleet dashboard: {tmp_path} (seed 0)"
+    assert page.read_text() == render_dashboard(cells, title=title)
 
 
 def test_cell_from_context_labels_scenario_and_embeds_live_state():

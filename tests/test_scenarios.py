@@ -64,8 +64,9 @@ def test_every_consumer_lists_the_table(capsys):
     listed = capsys.readouterr().err.split("choose from ")[1]
     assert [n.strip(" '()\n") for n in listed.split(",")] == sorted(SCENARIOS)
 
-    with pytest.raises(SystemExit, match=", ".join(scene_names())):
+    with pytest.raises(SystemExit):
         obs_main(["dash", "no-such-scenario"])
+    assert ", ".join(scene_names()) in capsys.readouterr().err
 
     with pytest.raises(KeyError, match=", ".join(scene_names())):
         InteractiveContext("no-such-scenario")
