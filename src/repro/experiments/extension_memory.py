@@ -74,10 +74,8 @@ def run_memory_adaptation(
     if db is None:
         db, _ = memory_database(seed=seed)
     app = make_membound_app()
-    pref = UserPreference.single(Objective("elapsed"))
-    scheduler = ResourceScheduler(db, pref)
     controller = AdaptationController(
-        scheduler,
+        ResourceScheduler(db, UserPreference.single(Objective("elapsed"))),
         monitoring_plan=Preprocessor(app).monitoring_plan(),
         monitor_kwargs={"window": 0.5, "cooldown": 1.0},
     )
@@ -98,13 +96,7 @@ def run_memory_adaptation(
             sandbox_kwargs={"fault_cost": FAULT_COST},
         )
         if adaptive:
-            ctl = AdaptationController(
-                ResourceScheduler(db, pref),
-                monitoring_plan=Preprocessor(app).monitoring_plan(),
-                monitor_kwargs={"window": 0.5, "cooldown": 1.0},
-            )
-            ctl.current_decision = decision
-            ctl.attach(rt)
+            controller.attach(rt)
 
         def vary(rt=rt):
             yield testbed.sim.timeout(drop_at_sweep_time)

@@ -81,15 +81,7 @@ class AdaptiveRun:
             "switches": [
                 [t, dict(old), dict(new)] for t, old, new in self.switches
             ],
-            "events": [
-                {
-                    "time": e.time,
-                    "kind": e.kind,
-                    "config": dict(e.config) if e.config is not None else None,
-                    "estimates": dict(e.estimates),
-                }
-                for e in self.events
-            ],
+            "events": [e.to_dict() for e in self.events],
             "total_time": self.total_time,
         }
 
@@ -105,19 +97,7 @@ class AdaptiveRun:
                 (float(t), Configuration(old), Configuration(new))
                 for t, old, new in data["switches"]
             ],
-            events=[
-                AdaptationEvent(
-                    time=float(e["time"]),
-                    kind=e["kind"],
-                    config=(
-                        Configuration(e["config"])
-                        if e["config"] is not None
-                        else None
-                    ),
-                    estimates={k: float(v) for k, v in e["estimates"].items()},
-                )
-                for e in data["events"]
-            ],
+            events=[AdaptationEvent.from_dict(e) for e in data["events"]],
             total_time=float(data["total_time"]),
         )
 

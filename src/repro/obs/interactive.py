@@ -147,7 +147,7 @@ class ScenarioInspector:
         ctl = self._scene.controller
         if ctl is None:
             return None
-        if ctl._reconfiguring:
+        if ctl._inflight is not None:
             phase = "reconfiguring"
         elif ctl._settling:
             phase = "settling"

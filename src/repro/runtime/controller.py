@@ -31,7 +31,7 @@ the steering agent's ack timeout and recorded as ``"steering-timeout"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..obs import TraceRecorder
@@ -59,6 +59,20 @@ class AdaptationEvent:
     kind: str
     config: Optional[Configuration] = None
     estimates: Dict[str, float] = field(default_factory=dict)
+
+    def to_dict(self) -> dict:
+        """JSON-able form (fields in order); :meth:`from_dict` inverts it."""
+        config = dict(self.config) if self.config is not None else None
+        return dict(vars(self), config=config, estimates=dict(self.estimates))
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "AdaptationEvent":
+        config = data["config"]
+        return cls(
+            float(data["time"]), data["kind"],
+            Configuration(config) if config is not None else None,
+            {k: float(v) for k, v in data["estimates"].items()},
+        )
 
 
 class AdaptationController:
@@ -106,11 +120,8 @@ class AdaptationController:
         self.recorder = recorder
         self._settling = False
         self._pending_estimates: Optional[Dict[str, float]] = None
-        #: Bookkeeping for the control message currently awaiting an ack,
-        #: so concurrent adaptation paths (violation vs. watchdog) neither
-        #: duplicate an identical request nor mistake their own supersede
-        #: echo for an application rejection.
-        self._inflight: Optional[Dict] = None
+        #: The one control message awaiting its outcome (see :meth:`_steer`).
+        self._inflight: Optional[ControlMessage] = None
         self.rt: Optional[AppRuntime] = None
         self.monitor: Optional[MonitoringAgent] = None
         self.steering: Optional[SteeringAgent] = None
@@ -120,7 +131,6 @@ class AdaptationController:
         self.lost_peers: Set[str] = set()
         self._watchdog_stopped = False
         self._watchdog_proc = None
-        self._reconfiguring = False
         #: While pinned (brownout), monitor violations do not steer away
         #: from the forced configuration.
         self._pinned = False
@@ -130,11 +140,39 @@ class AdaptationController:
     # -- observability -----------------------------------------------------
     def _obs(self) -> Optional[TraceRecorder]:
         """The active recorder: explicit, else discovered via ``sim.obs``."""
-        if self.recorder is not None:
-            return self.recorder
-        if self.rt is not None:
+        if self.recorder is None and self.rt is not None:
             return self.rt.sim.obs
-        return None
+        return self.recorder
+
+    def _event(
+        self,
+        kind: str,
+        name: str,
+        config: Optional[Configuration] = None,
+        estimates: Optional[Dict[str, float]] = None,
+        parent: Optional[int] = None,
+        counter: Optional[str] = None,
+        cat: str = "adapt",
+        attrs: Optional[Dict[str, object]] = None,
+    ) -> Optional[int]:
+        """Log one adaptation event; under a recorder, trace it as well.
+
+        The trace instant ``name`` shares the event's time (0 before
+        :meth:`attach`) and carries the configuration's label, if any, then
+        ``attrs``; ``counter`` is bumped after it.  Returns the instant's
+        id, the causal link for what the event sets off.
+        """
+        t = self.rt.sim.now if self.rt is not None else 0.0
+        self.events.append(AdaptationEvent(t, kind, config, dict(estimates or {})))
+        obs = self._obs()
+        if obs is None:
+            return None
+        if config is not None:
+            attrs = {"config": config.label(), **(attrs or {})}
+        sid = obs.instant(name, cat=cat, parent=parent, t=t, **(attrs or {}))
+        if counter is not None:
+            obs.metrics.counter(counter).inc()
+        return sid
 
     # -- phase 1: initial configuration ------------------------------------
     def select_initial(self, point: ResourcePoint) -> Decision:
@@ -148,14 +186,7 @@ class AdaptationController:
                 f"no configuration satisfies any preference at {point.label()}"
             )
         self.current_decision = decision
-        self.events.append(
-            AdaptationEvent(time=0.0, kind="initial", config=decision.config)
-        )
-        if obs is not None:
-            obs.instant(
-                "config.initial", cat="adapt", t=0.0,
-                config=decision.config.label(),
-            )
+        self._event("initial", "config.initial", decision.config)
         return decision
 
     # -- phase 2: run-time loop -----------------------------------------------
@@ -250,31 +281,18 @@ class AdaptationController:
                 alive = (now - last) <= timeout
                 if not alive and peer not in self.lost_peers:
                     self.lost_peers.add(peer)
-                    self.events.append(
-                        AdaptationEvent(time=now, kind="peer-lost",
-                                        estimates={"peer": peer})
+                    cause = self._event(
+                        "peer-lost", "adapt.peer-lost", estimates={"peer": peer},
+                        counter="adapt.peer_lost", attrs={"peer": peer},
                     )
-                    obs = self._obs()
-                    cause = None
-                    if obs is not None:
-                        cause = obs.instant(
-                            "adapt.peer-lost", cat="adapt", peer=peer
-                        )
-                        obs.metrics.counter("adapt.peer_lost").inc()
                     self._degraded_reschedule(peer, cause=cause)
                 elif alive and peer in self.lost_peers:
                     self.lost_peers.discard(peer)
-                    self.events.append(
-                        AdaptationEvent(time=now, kind="peer-recovered",
-                                        estimates={"peer": peer})
+                    cause = self._event(
+                        "peer-recovered", "adapt.peer-recovered",
+                        estimates={"peer": peer},
+                        counter="adapt.peer_recovered", attrs={"peer": peer},
                     )
-                    obs = self._obs()
-                    cause = None
-                    if obs is not None:
-                        cause = obs.instant(
-                            "adapt.peer-recovered", cat="adapt", peer=peer
-                        )
-                        obs.metrics.counter("adapt.peer_recovered").inc()
                     self._reschedule(
                         self._global_estimates(), exclude=set(), cause=cause
                     )
@@ -291,17 +309,10 @@ class AdaptationController:
         for dim in self.scheduler.db.resource_dims:
             if dim.startswith(peer + "."):
                 estimates[dim] = 0.0
-        self.events.append(
-            AdaptationEvent(
-                time=self.rt.sim.now, kind="degraded", estimates=dict(estimates)
-            )
+        cause = self._event(
+            "degraded", "adapt.degraded", estimates=estimates, parent=cause,
+            attrs={"peer": peer, "estimates": dict(sorted(estimates.items()))},
         )
-        obs = self._obs()
-        if obs is not None:
-            cause = obs.instant(
-                "adapt.degraded", cat="adapt", parent=cause, peer=peer,
-                estimates=dict(sorted(estimates.items())),
-            )
         self._reschedule(estimates, exclude=set(), cause=cause)
 
     # -- violation handling -------------------------------------------------
@@ -312,17 +323,11 @@ class AdaptationController:
             # must not steer away until resume_normal() lifts the pin.
             return
         now = self.rt.sim.now
-        self.events.append(
-            AdaptationEvent(time=now, kind="trigger", estimates=dict(estimates))
+        cause = self._event(
+            "trigger", "monitor.violation", estimates=estimates,
+            counter="adapt.violations",
+            attrs={"estimates": dict(sorted(estimates.items()))},
         )
-        obs = self._obs()
-        cause = None
-        if obs is not None:
-            cause = obs.instant(
-                "monitor.violation", cat="adapt",
-                estimates=dict(sorted(estimates.items())),
-            )
-            obs.metrics.counter("adapt.violations").inc()
         delay = (
             self.settle_delay
             if self.settle_delay is not None
@@ -341,6 +346,7 @@ class AdaptationController:
         self._settling = True
         self._pending_estimates = dict(estimates)
         settle_span = None
+        obs = self._obs()
         if obs is not None:
             settle_span = obs.begin("adapt.settle", cat="adapt", parent=cause)
 
@@ -376,41 +382,29 @@ class AdaptationController:
         cause: Optional[int] = None,
     ) -> None:
         assert self.rt is not None and self.steering is not None
-        now = self.rt.sim.now
         obs = self._obs()
         if obs is not None:
             self.scheduler.obs = obs
-        if depth >= self.max_negotiation_depth:
-            # Negotiation exhausted: a pathological database could otherwise
-            # recurse through every configuration on a single violation.
-            self.events.append(AdaptationEvent(time=now, kind="no-candidate"))
-            if obs is not None:
-                obs.instant(
-                    "sched.no-candidate", cat="adapt", parent=cause,
-                    reason="negotiation-exhausted", depth=depth,
-                )
-            return
-        point = self._measured_point(estimates)
-        decision = self.scheduler.select(point, exclude=exclude)
+        # Negotiation is bounded: a pathological database could otherwise
+        # recurse through every configuration on a single violation.
+        decision = None
+        reason = "negotiation-exhausted"
+        if depth < self.max_negotiation_depth:
+            point = self._measured_point(estimates)
+            decision = self.scheduler.select(point, exclude=exclude)
+            reason = "no-feasible-config"
         if decision is None:
-            self.events.append(AdaptationEvent(time=now, kind="no-candidate"))
-            if obs is not None:
-                obs.instant(
-                    "sched.no-candidate", cat="adapt", parent=cause,
-                    reason="no-feasible-config", depth=depth,
-                )
-            return
-        self.events.append(
-            AdaptationEvent(time=now, kind="decision", config=decision.config)
-        )
-        decision_id = None
-        if obs is not None:
-            decision_id = obs.instant(
-                "sched.decision", cat="adapt", parent=cause,
-                config=decision.config.label(), depth=depth,
-                point=decision.point.label(),
+            self._event(
+                "no-candidate", "sched.no-candidate", parent=cause,
+                attrs={"reason": reason, "depth": depth},
             )
-            obs.metrics.counter("adapt.decisions").inc()
+            return
+        decision_id = self._event(
+            "decision", "sched.decision", decision.config, parent=cause,
+            counter="adapt.decisions",
+            attrs={"depth": depth, "point": decision.point.label()},
+        )
+        if obs is not None:
             obs.metrics.histogram(
                 "adapt.negotiation_depth", edges=(0, 1, 2, 4, 8)
             ).observe(depth)
@@ -420,93 +414,66 @@ class AdaptationController:
             self.current_decision = decision
             self.monitor.retarget(conditions=decision.conditions)
             return
-
         inflight = self._inflight
-        if inflight is not None and not inflight["done"]:
-            if inflight["config"] == decision.config:
-                # An identical request is already awaiting its ack;
-                # re-posting it would only supersede itself.
+        if inflight is not None and inflight.decision.config == decision.config:
+            # An identical request is already awaiting its ack;
+            # re-posting it would only supersede itself.
+            return
+        self._steer(decision, decision_id, exclude=exclude, depth=depth)
+
+    def _steer(
+        self,
+        decision: Decision,
+        cause: Optional[int],
+        exclude: Optional[Set[Configuration]] = None,
+        depth: int = 0,
+    ) -> None:
+        """Post ``decision`` to the steering agent as the in-flight message.
+
+        A new post replaces the message in flight, which is how a newer
+        request supersedes an older one; a message that finishes once it is
+        no longer in flight is ignored.  A guard rejection negotiates the
+        next best configuration outside ``exclude``, unless ``exclude`` is
+        None (a forced switch).
+        """
+        message = ControlMessage(decision=decision, cause=cause)
+        self._inflight = message
+
+        def on_done(outcome: str) -> None:
+            if self._inflight is not message:
                 return
-            # Replacing the in-flight request with a newer decision: its
-            # failure echo must not be mistaken for an app rejection.
-            inflight["superseded"] = True
-        token = {"config": decision.config, "done": False, "superseded": False}
-        self._inflight = token
-
-        timed_out = [False]
-        message = ControlMessage(
-            decision=decision, cause=decision_id
-        )
-
-        def on_timeout(decision=decision) -> None:
-            timed_out[0] = True
-            self.events.append(
-                AdaptationEvent(
-                    time=self.rt.sim.now,
-                    kind="steering-timeout",
-                    config=decision.config,
-                )
-            )
-            obs = self._obs()
-            if obs is not None:
-                obs.instant(
-                    "adapt.steering-timeout", cat="adapt",
-                    parent=message.span if message.span is not None else decision_id,
-                    config=decision.config.label(),
-                )
-
-        def on_applied(ok: bool, decision=decision, exclude=exclude) -> None:
-            t = self.rt.sim.now
-            token["done"] = True
-            obs = self._obs()
-            link = message.span if message.span is not None else decision_id
-            if ok:
+            self._inflight = None
+            config = decision.config
+            link = message.span if message.span is not None else cause
+            if outcome == "ack":
                 self.current_decision = decision
-                self.events.append(
-                    AdaptationEvent(time=t, kind="applied", config=decision.config)
+                self._event(
+                    "applied", "adapt.applied", config, parent=link,
+                    counter="adapt.applied",
                 )
-                if obs is not None:
-                    obs.instant(
-                        "adapt.applied", cat="adapt", parent=link,
-                        config=decision.config.label(),
-                    )
-                    obs.metrics.counter("adapt.applied").inc()
                 self.monitor.retarget(
-                    watch=self._watch_list(decision.config),
-                    conditions=decision.conditions,
+                    watch=self._watch_list(config), conditions=decision.conditions
                 )
-            elif timed_out[0]:
+            elif outcome == "timeout":
                 # The application is stalled (crash/partition), not refusing
-                # this particular configuration: negotiating an alternative
-                # would just queue more doomed handshakes.  The watchdog or
-                # the next violation re-triggers adaptation once the world
-                # changes.
-                return
-            elif token["superseded"]:
-                # We replaced this request with a newer decision ourselves;
-                # the newer message's callbacks own the outcome.
-                return
-            else:
-                self.events.append(
-                    AdaptationEvent(time=t, kind="rejected", config=decision.config)
+                # this configuration: no negotiation.  The watchdog or the
+                # next violation re-triggers adaptation.
+                self._event(
+                    "steering-timeout", "adapt.steering-timeout", config,
+                    parent=link,
                 )
-                rejected_id = None
-                if obs is not None:
-                    rejected_id = obs.instant(
-                        "adapt.rejected", cat="adapt", parent=link,
-                        config=decision.config.label(),
-                    )
-                    obs.metrics.counter("adapt.rejected").inc()
+            elif exclude is not None:
+                rejected_id = self._event(
+                    "rejected", "adapt.rejected", config, parent=link,
+                    counter="adapt.rejected",
+                )
                 # Negotiation: ask for the next best configuration.
                 self._reschedule(
-                    dict(decision.point),
-                    exclude=exclude | {decision.config},
-                    depth=depth + 1,
+                    dict(decision.point), exclude | {config}, depth + 1,
                     cause=rejected_id,
                 )
 
-        message.on_applied = on_applied
-        message.on_timeout = on_timeout
+        message.on_done = on_done
         self.steering.deliver(message)
 
     # -- forced steering (brownout) -------------------------------------------
@@ -518,60 +485,19 @@ class AdaptationController:
         predicts from (overload-polluted) estimates.  While pinned, monitor
         violations are suppressed; :meth:`resume_normal` lifts the pin.
         """
-        assert self.rt is not None and self.steering is not None
-        assert self.current_decision is not None
-        now = self.rt.sim.now
+        assert self.steering is not None and self.current_decision is not None
         self._pinned = True
-        self.events.append(AdaptationEvent(time=now, kind=reason, config=config))
-        obs = self._obs()
-        cause = None
-        if obs is not None:
-            cause = obs.instant(
-                f"recovery.{reason}", cat="recovery", config=config.label()
-            )
-            obs.metrics.counter("recovery.forced_switches").inc()
+        cause = self._event(
+            reason, f"recovery.{reason}", config, cat="recovery",
+            counter="recovery.forced_switches",
+        )
         if config == self.rt.controls.current:
             return
-        base = self.current_decision
-        decision = Decision(
-            config=config,
-            predicted={},
-            constraint=base.constraint,
-            constraint_index=base.constraint_index,
-            point=base.point,
-            conditions={},
+        # Empty conditions: nothing to violate while pinned.
+        decision = replace(
+            self.current_decision, config=config, predicted={}, conditions={}
         )
-        inflight = self._inflight
-        if inflight is not None and not inflight["done"]:
-            inflight["superseded"] = True
-        token = {"config": config, "done": False, "superseded": False}
-        self._inflight = token
-        message = ControlMessage(decision=decision, cause=cause)
-
-        def on_applied(ok: bool) -> None:
-            token["done"] = True
-            if not ok:
-                return
-            self.current_decision = decision
-            self.events.append(
-                AdaptationEvent(
-                    time=self.rt.sim.now, kind="applied", config=config
-                )
-            )
-            obs = self._obs()
-            if obs is not None:
-                obs.instant(
-                    "adapt.applied", cat="adapt", parent=cause,
-                    config=config.label(),
-                )
-                obs.metrics.counter("adapt.applied").inc()
-            # Empty conditions: nothing to violate while pinned.
-            self.monitor.retarget(
-                watch=self._watch_list(config), conditions={}
-            )
-
-        message.on_applied = on_applied
-        self.steering.deliver(message)
+        self._steer(decision, cause)
 
     def resume_normal(self, reason: str = "brownout-exit") -> None:
         """Lift a forced-configuration pin and re-run normal selection."""
@@ -579,12 +505,7 @@ class AdaptationController:
         if not self._pinned:
             return
         self._pinned = False
-        now = self.rt.sim.now
-        self.events.append(AdaptationEvent(time=now, kind=reason))
-        obs = self._obs()
-        cause = None
-        if obs is not None:
-            cause = obs.instant(f"recovery.{reason}", cat="recovery")
+        cause = self._event(reason, f"recovery.{reason}", cat="recovery")
         self._reschedule(self._global_estimates(), exclude=set(), cause=cause)
 
     # -- checkpoint/restore ----------------------------------------------------

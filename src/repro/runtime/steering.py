@@ -11,9 +11,9 @@ Fault tolerance: with an ``ack_timeout`` configured, a control message that
 is neither applied nor rejected in time (the application is stalled behind
 a crash or partition and never reaches a safe point) is re-posted with
 exponential backoff up to ``max_retries`` times, after which the agent
-gives up: it withdraws the pending change, reports the timeout through
-``ControlMessage.on_timeout``, and fires the terminal ``on_applied(False)``
-so the scheduler is never left hanging on a dead handshake.
+gives up: it withdraws the pending change and reports the outcome
+``"timeout"`` through ``ControlMessage.on_done``, so the scheduler is never
+left hanging on a dead handshake.
 """
 
 from __future__ import annotations
@@ -32,16 +32,15 @@ class ControlMessage:
     """Scheduler -> steering agent reconfiguration request."""
 
     decision: Decision
-    #: Called with True once applied at a safe point; False when superseded,
-    #: rejected by a transition guard, or abandoned after an ack timeout.
-    on_applied: Optional[Callable[[bool], None]] = None
-    #: Called (before the terminal ``on_applied(False)``) when the message
-    #: is abandoned because the acknowledgement never arrived.
-    on_timeout: Optional[Callable[[], None]] = None
+    #: Called once with the outcome the agent also ends the
+    #: ``steer.request`` span with: "ack" once applied at a safe point,
+    #: "rejected" when superseded or refused by a transition guard, or
+    #: "timeout" when abandoned after the ack timeout.
+    on_done: Optional[Callable[[str], None]] = None
     #: Observability: span id of the decision that issued this message
     #: (set by the sender) and of the ``steer.request`` handshake span the
     #: agent opens for it (set in :meth:`SteeringAgent._post`), so the
-    #: sender's outcome callbacks can link into the same causal chain.
+    #: sender's outcome callback can link into the same causal chain.
     cause: Optional[int] = None
     span: Optional[int] = None
 
@@ -133,6 +132,7 @@ class SteeringAgent:
                 self.rt.controls.pending = None
             history = self.rt.controls.history
             switched = ok and len(history) > history_before
+            outcome = "ack" if ok else "rejected"
             if ok:
                 self.acks.append((self.rt.sim.now, config))
             if switched and self.rt.sim.usage is not None:
@@ -152,9 +152,9 @@ class SteeringAgent:
                             t=history[-1][0], config=config.label(),
                         )
                     obs.metrics.counter("steer.acks").inc()
-                obs.end(message.span, outcome="ack" if ok else "rejected")
-            if message.on_applied is not None:
-                message.on_applied(ok)
+                obs.end(message.span, outcome=outcome)
+            if message.on_done is not None:
+                message.on_done(outcome)
 
         change = PendingChange(
             new_config=config,
@@ -201,10 +201,8 @@ class SteeringAgent:
                 obs.metrics.counter("steer.timeouts").inc()
                 if message.span is not None:
                     obs.end(message.span, outcome="timeout")
-            if message.on_timeout is not None:
-                message.on_timeout()
-            if message.on_applied is not None:
-                message.on_applied(False)
+            if message.on_done is not None:
+                message.on_done("timeout")
 
         self.rt.sim.schedule_callback(delay, check)
 

@@ -180,6 +180,22 @@ def test_interventions_recorded_and_replayed_byte_identically():
     )
 
 
+def test_controller_inspector_tracks_the_inflight_handshake():
+    """fig5sess's first switch is requested at t=22.33 and acknowledged at
+    t=25.01: in between the inspector reads the controller as
+    reconfiguring, and after the ack as steady with nothing in flight."""
+    ctx = InteractiveContext("fig5sess", seed=0)
+    ctx.run_until(24.0)
+    requests = [r for r in ctx.recorder.records if r.name == "steer.request"]
+    assert len(requests) == 1 and requests[0].t1 is None
+    state = ctx.inspect.controller()
+    assert state["phase"] == "reconfiguring" and state["inflight"] is True
+    ctx.run_until(40.0)
+    assert requests[0].attrs["outcome"] == "ack"
+    state = ctx.inspect.controller()
+    assert state["phase"] == "steady" and state["inflight"] is False
+
+
 def test_force_config_and_resume_normal():
     ctx = InteractiveContext("fig5sess", seed=0)
     ctx.run_until(10.0)

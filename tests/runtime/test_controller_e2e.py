@@ -151,9 +151,9 @@ def test_steering_agent_records_messages_and_acks():
         ResourcePoint({"client.cpu": 1.0, "client.network": 50e3})
     )
     outcomes = []
-    agent.deliver(ControlMessage(decision=decision, on_applied=outcomes.append))
+    agent.deliver(ControlMessage(decision=decision, on_done=outcomes.append))
     testbed.run(until=5000)
-    assert outcomes == [True]
+    assert outcomes == ["ack"]
     assert len(agent.received) == 1
     assert len(agent.acks) == 1
     assert agent.acks[0][1] == cfg("bzip2")

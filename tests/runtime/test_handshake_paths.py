@@ -1,12 +1,12 @@
 """Pins the controller's steering-handshake paths that no traced scene
 reaches: guard rejection and negotiation, exhausted alternatives, the
 negotiation depth bound, an abandoned (timed-out) handshake, a forced
-switch superseding an in-flight decision, and a brownout pin lifted by
-``resume_normal``.
+switch superseding an in-flight decision, an abandoned forced switch,
+and a brownout pin lifted by ``resume_normal``.
 
-Each case pins the controller's event log as (time, kind, config label)
-and every adaptation-layer trace record as (name, category, parent's
-name, attrs), so a refactor of the adaptation loop shows any change in
+Each case pins the controller's event log as (time, kind, config label),
+every trace record as (name, category, parent's name, attrs) and the
+counters, so a refactor of the adaptation loop shows any change in
 what it logs, traces, or links.
 """
 
@@ -108,7 +108,10 @@ CASES = {
     ),
 }
 
-#: case -> (events, trace records, counters), as observed.
+#: case -> (events, trace records, counters), as observed.  A forced
+#: switch follows the same chain as a scheduled one: its ``adapt.applied``
+#: links to its ``steer.request``, and an abandoned forced handshake logs
+#: ``steering-timeout``.
 EXPECTED = {
     "rejection-negotiates": (
         [(0.0, "initial", "mode=a"),
@@ -372,7 +375,7 @@ EXPECTED = {
           "recovery.brownout-enter",
           {"config": "mode=c", "outcome": "ack"}),
          ("config.switch", "steer", "steer.request", {"config": "mode=c"}),
-         ("adapt.applied", "adapt", "recovery.brownout-enter", {"config": "mode=c"})],
+         ("adapt.applied", "adapt", "steer.request", {"config": "mode=c"})],
         {"adapt.applied": 1.0,
          "adapt.decisions": 1.0,
          "adapt.violations": 1.0,
@@ -384,7 +387,9 @@ EXPECTED = {
          "steer.requests": 2.0},
     ),
     "forced-handshake-times-out": (
-        [(0.0, "initial", "mode=a"), (2.0, "brownout-enter", "mode=c")],
+        [(0.0, "initial", "mode=a"),
+         (2.0, "brownout-enter", "mode=c"),
+         (5.001, "steering-timeout", "mode=c")],
         [("proc:main", "sim", None, {}),
          ("proc:monitoring-agent", "sim", None, {}),
          ("proc:vary", "sim", None, {"ok": True}),
@@ -395,7 +400,8 @@ EXPECTED = {
           "recovery.brownout-enter",
           {"config": "mode=c", "outcome": "timeout"}),
          ("steer.retry", "steer", "steer.request", {"attempt": 1}),
-         ("steer.withdrawal", "steer", "steer.request", {"attempts": 1})],
+         ("steer.withdrawal", "steer", "steer.request", {"attempts": 1}),
+         ("adapt.steering-timeout", "adapt", "steer.request", {"config": "mode=c"})],
         {"monitor.samples": 2999.0,
          "monitor.violations": 1.0,
          "recovery.forced_switches": 1.0,
@@ -421,7 +427,7 @@ EXPECTED = {
           "recovery.brownout-enter",
           {"config": "mode=c", "outcome": "ack"}),
          ("config.switch", "steer", "steer.request", {"config": "mode=c"}),
-         ("adapt.applied", "adapt", "recovery.brownout-enter", {"config": "mode=c"}),
+         ("adapt.applied", "adapt", "steer.request", {"config": "mode=c"}),
          ("recovery.brownout-exit", "recovery", "proc:act", {}),
          ("sched.select",
           "sched",
