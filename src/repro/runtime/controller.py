@@ -45,6 +45,22 @@ from .steering import ControlMessage, SteeringAgent
 
 __all__ = ["AdaptationController", "AdaptationEvent"]
 
+#: Trace instant and counter of each adaptation event kind, in category
+#: ``adapt``.  Any other kind is the reason of a forced switch or of its
+#: release, traced as ``recovery.<kind>`` in category ``recovery``.
+EVENT_TRACE: Dict[str, Tuple[str, Optional[str]]] = {
+    "initial": ("config.initial", None),
+    "trigger": ("monitor.violation", "adapt.violations"),
+    "decision": ("sched.decision", "adapt.decisions"),
+    "no-candidate": ("sched.no-candidate", None),
+    "applied": ("adapt.applied", "adapt.applied"),
+    "rejected": ("adapt.rejected", "adapt.rejected"),
+    "steering-timeout": ("adapt.steering-timeout", None),
+    "peer-lost": ("adapt.peer-lost", "adapt.peer_lost"),
+    "peer-recovered": ("adapt.peer-recovered", "adapt.peer_recovered"),
+    "degraded": ("adapt.degraded", None),
+}
+
 
 @dataclass
 class AdaptationEvent:
@@ -147,26 +163,27 @@ class AdaptationController:
     def _event(
         self,
         kind: str,
-        name: str,
         config: Optional[Configuration] = None,
         estimates: Optional[Dict[str, float]] = None,
         parent: Optional[int] = None,
-        counter: Optional[str] = None,
-        cat: str = "adapt",
         attrs: Optional[Dict[str, object]] = None,
+        counter: Optional[str] = None,
     ) -> Optional[int]:
         """Log one adaptation event; under a recorder, trace it as well.
 
-        The trace instant ``name`` shares the event's time (0 before
-        :meth:`attach`) and carries the configuration's label, if any, then
-        ``attrs``; ``counter`` is bumped after it.  Returns the instant's
-        id, the causal link for what the event sets off.
+        The kind's instant (see :data:`EVENT_TRACE`) shares the event's time
+        (0 before :meth:`attach`) and carries the configuration's label, if
+        any, then ``attrs``; the kind's counter, else ``counter``, is bumped
+        after it.  Returns the instant's id, the causal link for what the
+        event sets off.
         """
         t = self.rt.sim.now if self.rt is not None else 0.0
         self.events.append(AdaptationEvent(t, kind, config, dict(estimates or {})))
         obs = self._obs()
         if obs is None:
             return None
+        cat = "adapt" if kind in EVENT_TRACE else "recovery"
+        name, counter = EVENT_TRACE.get(kind, (f"recovery.{kind}", counter))
         if config is not None:
             attrs = {"config": config.label(), **(attrs or {})}
         sid = obs.instant(name, cat=cat, parent=parent, t=t, **(attrs or {}))
@@ -186,7 +203,7 @@ class AdaptationController:
                 f"no configuration satisfies any preference at {point.label()}"
             )
         self.current_decision = decision
-        self._event("initial", "config.initial", decision.config)
+        self._event("initial", decision.config)
         return decision
 
     # -- phase 2: run-time loop -----------------------------------------------
@@ -282,16 +299,13 @@ class AdaptationController:
                 if not alive and peer not in self.lost_peers:
                     self.lost_peers.add(peer)
                     cause = self._event(
-                        "peer-lost", "adapt.peer-lost", estimates={"peer": peer},
-                        counter="adapt.peer_lost", attrs={"peer": peer},
+                        "peer-lost", estimates={"peer": peer}, attrs={"peer": peer}
                     )
                     self._degraded_reschedule(peer, cause=cause)
                 elif alive and peer in self.lost_peers:
                     self.lost_peers.discard(peer)
                     cause = self._event(
-                        "peer-recovered", "adapt.peer-recovered",
-                        estimates={"peer": peer},
-                        counter="adapt.peer_recovered", attrs={"peer": peer},
+                        "peer-recovered", estimates={"peer": peer}, attrs={"peer": peer}
                     )
                     self._reschedule(
                         self._global_estimates(), exclude=set(), cause=cause
@@ -310,7 +324,7 @@ class AdaptationController:
             if dim.startswith(peer + "."):
                 estimates[dim] = 0.0
         cause = self._event(
-            "degraded", "adapt.degraded", estimates=estimates, parent=cause,
+            "degraded", estimates=estimates, parent=cause,
             attrs={"peer": peer, "estimates": dict(sorted(estimates.items()))},
         )
         self._reschedule(estimates, exclude=set(), cause=cause)
@@ -324,8 +338,7 @@ class AdaptationController:
             return
         now = self.rt.sim.now
         cause = self._event(
-            "trigger", "monitor.violation", estimates=estimates,
-            counter="adapt.violations",
+            "trigger", estimates=estimates,
             attrs={"estimates": dict(sorted(estimates.items()))},
         )
         delay = (
@@ -395,13 +408,11 @@ class AdaptationController:
             reason = "no-feasible-config"
         if decision is None:
             self._event(
-                "no-candidate", "sched.no-candidate", parent=cause,
-                attrs={"reason": reason, "depth": depth},
+                "no-candidate", parent=cause, attrs={"reason": reason, "depth": depth}
             )
             return
         decision_id = self._event(
-            "decision", "sched.decision", decision.config, parent=cause,
-            counter="adapt.decisions",
+            "decision", decision.config, parent=cause,
             attrs={"depth": depth, "point": decision.point.label()},
         )
         if obs is not None:
@@ -431,26 +442,24 @@ class AdaptationController:
         """Post ``decision`` to the steering agent as the in-flight message.
 
         A new post replaces the message in flight, which is how a newer
-        request supersedes an older one; a message that finishes once it is
-        no longer in flight is ignored.  A guard rejection negotiates the
-        next best configuration outside ``exclude``, unless ``exclude`` is
-        None (a forced switch).
+        request supersedes an older one.  The superseded message may still
+        be applied (at a safe point before the newer one is posted) or time
+        out; only its rejection, the echo of being replaced, is ignored.  A
+        guard rejection negotiates the next best configuration outside
+        ``exclude``, unless ``exclude`` is None (a forced switch).
         """
         message = ControlMessage(decision=decision, cause=cause)
         self._inflight = message
 
         def on_done(outcome: str) -> None:
-            if self._inflight is not message:
-                return
-            self._inflight = None
+            superseded = self._inflight is not message
+            if not superseded:
+                self._inflight = None
             config = decision.config
             link = message.span if message.span is not None else cause
             if outcome == "ack":
                 self.current_decision = decision
-                self._event(
-                    "applied", "adapt.applied", config, parent=link,
-                    counter="adapt.applied",
-                )
+                self._event("applied", config, parent=link)
                 self.monitor.retarget(
                     watch=self._watch_list(config), conditions=decision.conditions
                 )
@@ -458,15 +467,9 @@ class AdaptationController:
                 # The application is stalled (crash/partition), not refusing
                 # this configuration: no negotiation.  The watchdog or the
                 # next violation re-triggers adaptation.
-                self._event(
-                    "steering-timeout", "adapt.steering-timeout", config,
-                    parent=link,
-                )
-            elif exclude is not None:
-                rejected_id = self._event(
-                    "rejected", "adapt.rejected", config, parent=link,
-                    counter="adapt.rejected",
-                )
+                self._event("steering-timeout", config, parent=link)
+            elif exclude is not None and not superseded:
+                rejected_id = self._event("rejected", config, parent=link)
                 # Negotiation: ask for the next best configuration.
                 self._reschedule(
                     dict(decision.point), exclude | {config}, depth + 1,
@@ -487,10 +490,7 @@ class AdaptationController:
         """
         assert self.steering is not None and self.current_decision is not None
         self._pinned = True
-        cause = self._event(
-            reason, f"recovery.{reason}", config, cat="recovery",
-            counter="recovery.forced_switches",
-        )
+        cause = self._event(reason, config, counter="recovery.forced_switches")
         if config == self.rt.controls.current:
             return
         # Empty conditions: nothing to violate while pinned.
@@ -505,7 +505,7 @@ class AdaptationController:
         if not self._pinned:
             return
         self._pinned = False
-        cause = self._event(reason, f"recovery.{reason}", cat="recovery")
+        cause = self._event(reason)
         self._reschedule(self._global_estimates(), exclude=set(), cause=cause)
 
     # -- checkpoint/restore ----------------------------------------------------

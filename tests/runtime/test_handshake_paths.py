@@ -1,14 +1,17 @@
 """Pins the controller's steering-handshake paths that no traced scene
 reaches: guard rejection and negotiation, exhausted alternatives, the
 negotiation depth bound, an abandoned (timed-out) handshake, a forced
-switch superseding an in-flight decision, an abandoned forced switch,
-and a brownout pin lifted by ``resume_normal``.
+switch superseding an in-flight decision, a superseded decision that is
+still applied, an abandoned forced switch, and a brownout pin lifted by
+``resume_normal``.
 
 Each case pins the controller's event log as (time, kind, config label),
 every trace record as (name, category, parent's name, attrs) and the
 counters, so a refactor of the adaptation loop shows any change in
 what it logs, traces, or links.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.runtime import (
     ResourceScheduler,
     UserPreference,
 )
+from repro.runtime.controller import EVENT_TRACE
 from repro.sandbox import ResourceLimits, Testbed
 from repro.tunable import Configuration
 
@@ -97,6 +101,19 @@ CASES = {
     # The decision for 'b' is posted at t=5.961 and lands at the safe
     # point at t=6.0; the forced switch to 'c' replaces it in between.
     "force-supersedes-inflight": dict(actions=[(5.97, _force({"mode": "c"}))]),
+    # With a 30 ms control latency the decision for 'b' reaches the agent
+    # at t=5.99; the forced switch to 'c' replaces it in the controller at
+    # t=5.995 but only reaches the agent at t=6.025, so the superseded
+    # request is still applied at the safe point at t=6.0.
+    "late-ack-after-force": dict(
+        control_latency=0.03, actions=[(5.995, _force({"mode": "c"}))],
+    ),
+    # As above, but the forced configuration is then refused by its guard:
+    # the controller keeps the late-acked 'b' as its decision.
+    "late-ack-then-forced-rejection": dict(
+        control_latency=0.03, forbidden={"c"},
+        actions=[(5.995, _force({"mode": "c"}))],
+    ),
     "forced-handshake-times-out": dict(
         apply_changes=False,
         steering_kwargs={"ack_timeout": 1.0, "max_retries": 1, "backoff": 2.0},
@@ -386,6 +403,103 @@ EXPECTED = {
          "steer.acks": 1.0,
          "steer.requests": 2.0},
     ),
+    "late-ack-after-force": (
+        [(0.0, "initial", "mode=a"),
+         (5.46, "trigger", None),
+         (5.96, "decision", "mode=b"),
+         (5.995, "brownout-enter", "mode=c"),
+         (6.0, "applied", "mode=b"),
+         (6.05, "applied", "mode=c")],
+        [("proc:main", "sim", None, {}),
+         ("proc:monitoring-agent", "sim", None, {}),
+         ("proc:vary", "sim", None, {"ok": True}),
+         ("proc:act", "sim", None, {"ok": True}),
+         ("monitor.violation",
+          "adapt",
+          "proc:monitoring-agent",
+          {"estimates": {"node.cpu": 0.18823529411775722}}),
+         ("adapt.settle", "adapt", "monitor.violation", {}),
+         ("sched.select",
+          "sched",
+          None,
+          {"config": "mode=b",
+           "constraint": 0,
+           "excluded": 0,
+           "point": "node.cpu=0.1"}),
+         ("sched.decision",
+          "adapt",
+          "monitor.violation",
+          {"config": "mode=b", "depth": 0, "point": "node.cpu=0.1"}),
+         ("steer.request",
+          "steer",
+          "sched.decision",
+          {"config": "mode=b", "outcome": "ack"}),
+         ("recovery.brownout-enter", "recovery", "proc:act", {"config": "mode=c"}),
+         ("config.switch", "steer", "steer.request", {"config": "mode=b"}),
+         ("adapt.applied", "adapt", "steer.request", {"config": "mode=b"}),
+         ("steer.request",
+          "steer",
+          "recovery.brownout-enter",
+          {"config": "mode=c", "outcome": "ack"}),
+         ("config.switch", "steer", "steer.request", {"config": "mode=c"}),
+         ("adapt.applied", "adapt", "steer.request", {"config": "mode=c"})],
+        {"adapt.applied": 2.0,
+         "adapt.decisions": 1.0,
+         "adapt.violations": 1.0,
+         "monitor.samples": 2999.0,
+         "monitor.violations": 1.0,
+         "recovery.forced_switches": 1.0,
+         "sched.selects": 1.0,
+         "steer.acks": 2.0,
+         "steer.requests": 2.0},
+    ),
+    "late-ack-then-forced-rejection": (
+        [(0.0, "initial", "mode=a"),
+         (5.46, "trigger", None),
+         (5.96, "decision", "mode=b"),
+         (5.995, "brownout-enter", "mode=c"),
+         (6.0, "applied", "mode=b")],
+        [("proc:main", "sim", None, {}),
+         ("proc:monitoring-agent", "sim", None, {}),
+         ("proc:vary", "sim", None, {"ok": True}),
+         ("proc:act", "sim", None, {"ok": True}),
+         ("monitor.violation",
+          "adapt",
+          "proc:monitoring-agent",
+          {"estimates": {"node.cpu": 0.18823529411775722}}),
+         ("adapt.settle", "adapt", "monitor.violation", {}),
+         ("sched.select",
+          "sched",
+          None,
+          {"config": "mode=b",
+           "constraint": 0,
+           "excluded": 0,
+           "point": "node.cpu=0.1"}),
+         ("sched.decision",
+          "adapt",
+          "monitor.violation",
+          {"config": "mode=b", "depth": 0, "point": "node.cpu=0.1"}),
+         ("steer.request",
+          "steer",
+          "sched.decision",
+          {"config": "mode=b", "outcome": "ack"}),
+         ("recovery.brownout-enter", "recovery", "proc:act", {"config": "mode=c"}),
+         ("config.switch", "steer", "steer.request", {"config": "mode=b"}),
+         ("adapt.applied", "adapt", "steer.request", {"config": "mode=b"}),
+         ("steer.request",
+          "steer",
+          "recovery.brownout-enter",
+          {"config": "mode=c", "outcome": "rejected"})],
+        {"adapt.applied": 1.0,
+         "adapt.decisions": 1.0,
+         "adapt.violations": 1.0,
+         "monitor.samples": 2999.0,
+         "monitor.violations": 1.0,
+         "recovery.forced_switches": 1.0,
+         "sched.selects": 1.0,
+         "steer.acks": 1.0,
+         "steer.requests": 2.0},
+    ),
     "forced-handshake-times-out": (
         [(0.0, "initial", "mode=a"),
          (2.0, "brownout-enter", "mode=c"),
@@ -460,3 +574,30 @@ EXPECTED = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_handshake_path_is_pinned(case):
     assert observe(**CASES[case]) == EXPECTED[case]
+
+
+@pytest.mark.parametrize(
+    "case", ["late-ack-after-force", "late-ack-then-forced-rejection"]
+)
+def test_late_ack_of_superseded_request_is_adopted(case):
+    # The controller's decision and the monitor's validity region follow
+    # the configuration the application actually runs.
+    controller, _ = run_case(**CASES[case])
+    assert controller.current_decision.config == controller.rt.controls.current
+    assert controller.monitor.conditions == controller.current_decision.conditions
+
+
+def test_docs_event_table_matches_controller():
+    # docs/observability.md lists, per adaptation event kind, the trace
+    # instant, category and counter the controller records for it.
+    docs = Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+    rows = {}
+    for line in docs.read_text().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[0] in EVENT_TRACE:
+            kind, name, cat, counter = cells
+            rows[kind] = (name, cat, None if counter == "—" else counter)
+    assert rows == {
+        kind: (name, "adapt", counter)
+        for kind, (name, counter) in EVENT_TRACE.items()
+    }
